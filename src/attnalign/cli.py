@@ -15,8 +15,7 @@ import sys
 import numpy as np
 
 from . import corpus, evaluation, supervision, synth, training
-from .model import ModelDims, init_params, load_checkpoint, save_checkpoint
-from .model import forward_teacher_forced
+from .model import ModelDims, init_params, load_checkpoint
 
 log = logging.getLogger("attnalign")
 
@@ -42,17 +41,6 @@ def parse_config_file(path):
             key, _, val = line.partition("=")
             cfg[key.strip()] = val.strip()
     return cfg
-
-
-def _build_supervision(pairs, alignments, smoothing, cfg):
-    matrices = []
-    for aln in alignments:
-        completed = supervision.complete_alignment(aln)
-        if smoothing:
-            matrices.append(supervision.smoothed_transform(completed, cfg))
-        else:
-            matrices.append(supervision.simple_transform(completed))
-    return matrices
 
 
 # ---------------------------------------------------------------------------
@@ -97,17 +85,14 @@ def cmd_transform_align(args):
             f"align={len(align_lines)}"
         )
     cfg = supervision.SmoothingConfig(window=args.window, sigma=args.sigma)
+    smoothing = cfg if args.mode == "smooth" else None
     matrices = []
     for n, (s, t, a) in enumerate(zip(src_lines, tgt_lines, align_lines), 1):
         try:
             aln = corpus.parse_pharaoh(a, len(s.split()), len(t.split()), flip=args.flip)
         except ValueError as exc:
             raise ValueError(f"{args.align}:{n}: {exc}") from None
-        completed = supervision.complete_alignment(aln)
-        if args.mode == "smooth":
-            matrices.append(supervision.smoothed_transform(completed, cfg))
-        else:
-            matrices.append(supervision.simple_transform(completed))
+        matrices.append(supervision.supervision_matrix(aln, smoothing))
     supervision.write_matrices(matrices, args.out)
     log.info("wrote %d supervision matrices to %s", len(matrices), args.out)
     return 0
@@ -115,6 +100,9 @@ def cmd_transform_align(args):
 
 def cmd_train(args):
     cfg = parse_config_file(args.config)
+    for key in ("train_src", "train_tgt"):
+        if key not in cfg:
+            raise ValueError(f"{args.config}: missing required key {key!r}")
 
     def get(key, default=None, cast=str):
         return cast(cfg[key]) if key in cfg else default
@@ -132,8 +120,6 @@ def cmd_train(args):
         batch_size=get("batch_size", 80, int),
         seed=seed,
         align_weight=align_weight,
-        smoothing=smoothing,
-        smoothing_cfg=smoothing_cfg,
         rho=get("rho", 0.95, float),
         eps=get("eps", 1e-6, float),
         clip_norm=get("clip_norm", training.DEFAULT_CLIP_NORM, float),
@@ -162,7 +148,8 @@ def cmd_train(args):
         alignments = corpus.load_pharaoh_file(
             cfg["train_align"], pairs, flip=bool(get("pharaoh_flip", 0, int))
         )
-        sup = _build_supervision(pairs, alignments, smoothing, smoothing_cfg)
+        smooth = smoothing_cfg if smoothing else None
+        sup = [supervision.supervision_matrix(a, smooth) for a in alignments]
     elif needs_supervision:
         raise ValueError("schedule needs alignment supervision but train_align is not set")
 
@@ -210,9 +197,7 @@ def cmd_translate(args):
                     continue
                 ids = src_vocab.encode(tokens) + [corpus.EOS_ID]
                 hyp = evaluation.greedy_decode(params, ids, max_len=args.max_len)
-                words = [
-                    tgt_vocab.id_to_token[t] for t in hyp.token_ids if t != corpus.EOS_ID
-                ]
+                words = tgt_vocab.decode(t for t in hyp.token_ids if t != corpus.EOS_ID)
                 out.write(" ".join(words) + "\n")
     finally:
         if out is not sys.stdout:
@@ -237,16 +222,12 @@ def cmd_dump_attn(args):
 def _read_link_sets(path, flip):
     sets = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            links = set()
-            for tok in line.split():
-                parts = tok.split("-")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}: malformed alignment token {tok!r}")
-                a, b = int(parts[0]), int(parts[1])
-                i, j = (b, a) if flip else (a, b)
-                links.add((j + 1, i + 1))
-            sets.append(links)
+        for n, line in enumerate(fh, 1):
+            try:
+                links = [corpus.parse_pharaoh_token(tok, flip) for tok in line.split()]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{n}: {exc}") from None
+            sets.append({(j + 1, i + 1) for i, j in links})
     return sets
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,6 +172,15 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
 # Pharaoh alignments
 
 
+def parse_pharaoh_token(tok, flip=False):
+    """One Pharaoh "i-j" token -> 0-indexed (source, target) positions."""
+    try:
+        a, b = map(int, tok.split("-"))
+    except ValueError:
+        raise ValueError(f"malformed alignment token {tok!r}") from None
+    return (b, a) if flip else (a, b)
+
+
 def parse_pharaoh(line, src_len, tgt_len, flip=False):
     """Parse one Pharaoh line into a HardAlignment.
 
@@ -182,14 +191,7 @@ def parse_pharaoh(line, src_len, tgt_len, flip=False):
     """
     links = set()
     for tok in line.split():
-        parts = tok.split("-")
-        if len(parts) != 2:
-            raise ValueError(f"malformed alignment token {tok!r}")
-        try:
-            a, b = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"malformed alignment token {tok!r}") from None
-        i, j = (b, a) if flip else (a, b)
+        i, j = parse_pharaoh_token(tok, flip)
         if not (0 <= i < src_len and 0 <= j < tgt_len):
             raise ValueError(
                 f"alignment link {tok!r} outside {src_len}x{tgt_len} sentence"

@@ -6,7 +6,7 @@ with brevity penalty.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,19 +28,16 @@ def greedy_decode(params, src_ids, max_len=80):
     """Emit the argmax token at each step until eos or max_len."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tape, tv, enc, h_proj = greedy_step_inputs(params, src_ids)
-    dims = params.dims
-    dtype = enc.h_mat.data.dtype
-    ones = T.const(np.ones(dims.hidden, dtype=dtype), dtype)
+    tv, enc, h_proj = greedy_step_inputs(params, src_ids)
     s = initial_state(enc, tv)
     y_prev_emb = tv["bos_emb"]
     out_ids, rows = [], []
     score = 0.0
     for _ in range(max_len):
-        s, _, _, lp, att = decode_step(s, y_prev_emb, enc, tv, dims, ones, h_proj)
+        s, lp, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
         y = int(np.argmax(lp.data))
         out_ids.append(y)
-        rows.append(np.asarray(att.alpha.data))
+        rows.append(np.asarray(alpha.data))
         score += float(lp.data[y])
         if y == EOS_ID:
             break
@@ -80,9 +77,6 @@ class F1Report:
     precision: float
     recall: float
     f1: float
-    matched: int = 0
-    hyp_total: int = 0
-    gold_total: int = 0
 
     def format_line(self):
         return f"precision={self.precision:.4f} recall={self.recall:.4f} f1={self.f1:.4f}"
@@ -98,7 +92,7 @@ def _f1_from_counts(matched, hyp_total, gold_total):
     else:
         recall = matched / gold_total
     f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return F1Report(precision, recall, f1, matched, hyp_total, gold_total)
+    return F1Report(precision, recall, f1)
 
 
 def alignment_f1(hyp, gold):
@@ -128,9 +122,6 @@ def corpus_alignment_f1(hyp_sets, gold_sets):
 class BleuReport:
     bleu: float
     brevity_penalty: float
-    precisions: list = field(default_factory=list)
-    hyp_length: int = 0
-    ref_length: int = 0
 
     def format_line(self):
         return f"bleu={self.bleu:.4f} bp={self.brevity_penalty:.4f}"
@@ -168,4 +159,4 @@ def bleu(hyps, refs, max_ngram=4):
         bp = 0.0
     else:
         bp = min(1.0, float(np.exp(1.0 - ref_len / hyp_len)))
-    return BleuReport(score * bp, bp, precisions, hyp_len, ref_len)
+    return BleuReport(score * bp, bp)

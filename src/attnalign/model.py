@@ -16,12 +16,11 @@ attention matrix, so it can be trained against the A partition alone.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import EOS_ID
 
 INIT_SCALE = 0.08
 
@@ -95,14 +94,6 @@ class ModelParams:
     def names(self):
         return list(self.tensors)
 
-    def astype(self, dtype):
-        return ModelParams(
-            self.dims,
-            {k: v.astype(dtype) for k, v in self.tensors.items()},
-            dict(self.partition),
-            self.seed,
-        )
-
     def copy(self):
         return ModelParams(
             self.dims,
@@ -160,51 +151,36 @@ class EncoderStates:
     fwd_mat: T.Tensor
     bwd_mat: T.Tensor
 
-    @property
-    def length(self):
-        return len(self.fwd)
-
-
-@dataclass
-class AttentionIntermediates:
-    hidden: T.Tensor  # (l, attn) feed-forward hidden states
-    scores: T.Tensor  # (l,) raw scores
-    alpha: T.Tensor  # (l,) attention probabilities
-
 
 @dataclass
 class DecoderTrace:
     log_probs: list  # m scalar Tensors, log p of each reference token
     attention: T.Tensor  # (m, l)
-    states: list
-    contexts: list
-    outputs: list
     tape: T.Tape
     leaves: dict
 
 
-def _gru_step(tv, prefix, x, h_prev, ones):
+def _gru_step(tv, prefix, x, h_prev):
     z = T.sigmoid(T.matvec(tv[f"{prefix}.Wz"], x) + T.matvec(tv[f"{prefix}.Uz"], h_prev) + tv[f"{prefix}.bz"])
     r = T.sigmoid(T.matvec(tv[f"{prefix}.Wr"], x) + T.matvec(tv[f"{prefix}.Ur"], h_prev) + tv[f"{prefix}.br"])
     c = T.tanh(T.matvec(tv[f"{prefix}.Wc"], x) + T.matvec(tv[f"{prefix}.Uc"], T.mul(r, h_prev)) + tv[f"{prefix}.bc"])
-    return T.add(T.mul(T.sub(ones, z), h_prev), T.mul(z, c))
+    return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, c))
 
 
 def encode(src_ids, tv, dims, dtype=np.float64):
     """Bidirectional GRU over the source, from zero initial states."""
     l = len(src_ids)
     zeros = T.const(np.zeros(dims.hidden, dtype=dtype), dtype)
-    ones = T.const(np.ones(dims.hidden, dtype=dtype), dtype)
     embeds = [T.row(tv["src_emb"], i) for i in src_ids]
     fwd = []
     h = zeros
     for t in range(l):
-        h = _gru_step(tv, "enc_fwd", embeds[t], h, ones)
+        h = _gru_step(tv, "enc_fwd", embeds[t], h)
         fwd.append(h)
     bwd = [None] * l
     h = zeros
     for t in range(l - 1, -1, -1):
-        h = _gru_step(tv, "enc_bwd", embeds[t], h, ones)
+        h = _gru_step(tv, "enc_bwd", embeds[t], h)
         bwd[t] = h
     fwd_mat = T.stack_rows(fwd)
     bwd_mat = T.stack_rows(bwd)
@@ -218,14 +194,13 @@ def attention_projection(enc, tv):
 
 
 def attend(s_prev, enc, y_prev_emb, tv, h_proj=None):
-    """Two-layer feed-forward attention over source positions."""
+    """Two-layer feed-forward attention over source positions; returns the
+    (l,) attention probabilities."""
     if h_proj is None:
         h_proj = attention_projection(enc, tv)
     base = T.matvec(tv["attn.Ws"], s_prev) + T.matvec(tv["attn.Wy"], y_prev_emb) + tv["attn.b"]
     hidden = T.tanh(T.add_rowvec(h_proj, base))
-    scores = T.matvec(hidden, tv["attn.v"])
-    alpha = T.softmax(scores)
-    return AttentionIntermediates(hidden, scores, alpha)
+    return T.softmax(T.matvec(hidden, tv["attn.v"]))
 
 
 def initial_state(enc, tv):
@@ -238,57 +213,47 @@ def attention_context(alpha, enc):
     return T.concat([T.vecmat(alpha, enc.bwd_mat), T.vecmat(alpha, enc.fwd_mat)])
 
 
-def decode_step(s_prev, y_prev_emb, enc, tv, dims, ones, h_proj=None):
-    """One teacher-forced decoder step.
-
-    Returns (s_t, context, output_state, log_prob_vector, attention).
-    The context stacks the backward-state half before the forward half.
-    """
-    att = attend(s_prev, enc, y_prev_emb, tv, h_proj)
-    context = attention_context(att.alpha, enc)
-    s_t = _gru_step(tv, "dec", T.concat([y_prev_emb, context]), s_prev, ones)
+def decode_step(s_prev, y_prev_emb, enc, tv, h_proj=None):
+    """One decoder step; returns (s_t, log_prob_vector, attention)."""
+    alpha = attend(s_prev, enc, y_prev_emb, tv, h_proj)
+    context = attention_context(alpha, enc)
+    s_t = _gru_step(tv, "dec", T.concat([y_prev_emb, context]), s_prev)
     o_t = T.tanh(T.matvec(tv["out.W1"], T.concat([s_t, y_prev_emb])) + tv["out.b1"])
     log_probs = T.log_softmax(T.matvec(tv["out.W2"], o_t))
-    return s_t, context, o_t, log_probs, att
+    return s_t, log_probs, alpha
 
 
-def forward_teacher_forced(params, pair, tape=None):
+def forward_teacher_forced(params, pair):
     """Run the full model on one pair, feeding reference target tokens.
 
     The first decoder input is a learned begin-of-sentence embedding.
-    Deterministic; builds its own tape unless one is supplied.
+    Deterministic; records on a fresh tape.
     """
-    dtype = next(iter(params.tensors.values())).dtype
-    if tape is None:
-        tape = T.Tape(dtype)
-    tv = bind(params, tape)
-    dims = params.dims
-    enc = encode(pair.src_ids, tv, dims, dtype)
-    h_proj = attention_projection(enc, tv)
-    ones = T.const(np.ones(dims.hidden, dtype=dtype), dtype)
-
-    s = initial_state(enc, tv)
-    y_prev_emb = tv["bos_emb"]
-    log_probs, alphas, states, contexts, outputs = [], [], [], [], []
-    for t, y_t in enumerate(pair.tgt_ids):
-        s, context, o_t, lp, att = decode_step(s, y_prev_emb, enc, tv, dims, ones, h_proj)
-        log_probs.append(T.pick(lp, y_t))
-        alphas.append(att.alpha)
-        states.append(s)
-        contexts.append(context)
-        outputs.append(o_t)
-        y_prev_emb = T.row(tv["tgt_emb"], y_t)
-    attention = T.stack_rows(alphas)
-    return DecoderTrace(log_probs, attention, states, contexts, outputs, tape, tv)
-
-
-def greedy_step_inputs(params, src_ids):
-    """Encoder pass shared by greedy decoding; returns (tape, tv, enc, h_proj)."""
     dtype = next(iter(params.tensors.values())).dtype
     tape = T.Tape(dtype)
     tv = bind(params, tape)
+    enc = encode(pair.src_ids, tv, params.dims, dtype)
+    h_proj = attention_projection(enc, tv)
+
+    s = initial_state(enc, tv)
+    y_prev_emb = tv["bos_emb"]
+    log_probs, alphas = [], []
+    for y_t in pair.tgt_ids:
+        s, lp, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
+        log_probs.append(T.pick(lp, y_t))
+        alphas.append(alpha)
+        y_prev_emb = T.row(tv["tgt_emb"], y_t)
+    attention = T.stack_rows(alphas)
+    return DecoderTrace(log_probs, attention, tape, tv)
+
+
+def greedy_step_inputs(params, src_ids):
+    """Encoder pass shared by greedy decoding, on untracked parameters;
+    returns (tv, enc, h_proj) and records no tape."""
+    dtype = next(iter(params.tensors.values())).dtype
+    tv = {name: T.Tensor(arr) for name, arr in params.tensors.items()}
     enc = encode(src_ids, tv, params.dims, dtype)
-    return tape, tv, enc, attention_projection(enc, tv)
+    return tv, enc, attention_projection(enc, tv)
 
 
 # ---------------------------------------------------------------------------

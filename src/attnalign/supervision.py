@@ -115,6 +115,16 @@ def smoothed_transform(aligned, cfg=None, normalize=True):
     return out / sums
 
 
+def supervision_matrix(raw, smoothing=None):
+    """Complete a hard alignment, then transform it: row normalization when
+    ``smoothing`` is None, else Gaussian smoothing with that SmoothingConfig.
+    """
+    completed = complete_alignment(raw)
+    if smoothing is None:
+        return simple_transform(completed)
+    return smoothed_transform(completed, smoothing)
+
+
 def attention_distance(attn, target):
     """Euclidean distance between an attention matrix and its supervision.
 

@@ -18,9 +18,8 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import make_batches
-from .model import partition_filter, save_checkpoint
-from .supervision import SmoothingConfig, attention_distance
-from .model import forward_teacher_forced
+from .model import forward_teacher_forced, partition_filter, save_checkpoint
+from .supervision import attention_distance
 
 log = logging.getLogger(__name__)
 
@@ -55,12 +54,9 @@ class TrainConfig:
     batch_size: int = 80
     seed: int = 0
     align_weight: float = 1.0
-    smoothing: bool = False
-    smoothing_cfg: SmoothingConfig = field(default_factory=SmoothingConfig)
     rho: float = 0.95
     eps: float = 1e-6
     clip_norm: float = DEFAULT_CLIP_NORM
-    bucket_by_length: bool = True
 
     def __post_init__(self):
         if not self.schedule:
@@ -232,10 +228,6 @@ class PhaseReport:
     def final_translation_loss(self):
         return self.epochs[-1].mean_translation_loss if self.epochs else float("nan")
 
-    @property
-    def final_alignment_distance(self):
-        return self.epochs[-1].mean_alignment_distance if self.epochs else float("nan")
-
 
 def batch_step(params, batch, phase, config, state, trainable):
     """Forward/backward every sentence in a batch, then one AdaDelta update.
@@ -277,7 +269,7 @@ def train_phase(params, pairs, supervision, phase, config, epoch_offset=0, log_f
         batches = make_batches(
             pairs,
             config.batch_size,
-            bucket_by_length=config.bucket_by_length,
+            bucket_by_length=True,
             seed=config.seed + epoch_offset + e,
             supervision=supervision,
         )

@@ -1,10 +1,6 @@
 """Shared pytest plumbing: a visible pass/fail line per acceptance criterion."""
 
-CRITERION_RESULTS = []
-
-
-def record_criterion(number, description, passed):
-    CRITERION_RESULTS.append((number, description, passed))
+from criteria import CRITERION_RESULTS
 
 
 def pytest_terminal_summary(terminalreporter):

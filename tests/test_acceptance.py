@@ -55,7 +55,7 @@ from attnalign.training import (
     train_phase,
 )
 
-from conftest import record_criterion
+from criteria import record_criterion
 
 
 def check(number, description, condition):
@@ -122,16 +122,15 @@ def _joint_objective(leaves, dims, pair, sup, lam):
     """Joint loss rebuilt from the given leaf tensors (for gradient checking)."""
     enc = M.encode(pair.src_ids, leaves, dims)
     h_proj = M.attention_projection(enc, leaves)
-    ones = T.const(np.ones(dims.hidden))
     s = M.initial_state(enc, leaves)
     y_prev = leaves["bos_emb"]
     nll = None
     alphas = []
     for y_t in pair.tgt_ids:
-        s, _, _, lp, att = M.decode_step(s, y_prev, enc, leaves, dims, ones, h_proj)
+        s, lp, alpha = M.decode_step(s, y_prev, enc, leaves, h_proj)
         term = T.neg(T.pick(lp, y_t))
         nll = term if nll is None else T.add(nll, term)
-        alphas.append(att.alpha)
+        alphas.append(alpha)
         y_prev = T.row(leaves["tgt_emb"], y_t)
     dist = attention_distance(T.stack_rows(alphas), sup)
     return T.add(nll, T.scale(dist, lam))
@@ -290,7 +289,7 @@ def trend(tmp_path_factory):
     def train(schedule, lam):
         params = init_params(dims, seed=1, init_scale=0.5)
         cfg = TrainConfig(
-            schedule=schedule, batch_size=20, seed=1, align_weight=lam, smoothing=True
+            schedule=schedule, batch_size=20, seed=1, align_weight=lam
         )
         _, reports = run_schedule(params, pairs, sup, cfg)
         return params, reports

@@ -185,6 +185,15 @@ class TestTrain:
     def test_missing_config_file_fails(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "nope.cfg")) == 2
 
+    @pytest.mark.parametrize("key", ["train_src", "train_tgt"])
+    def test_missing_required_key_is_one_line_error(self, copy_corpus, tmp_path, caplog, key):
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m")
+        lines = cfg.read_text().splitlines()
+        cfg.write_text("\n".join(ln for ln in lines if not ln.startswith(key + "=")) + "\n")
+        assert run("train", "--config", str(cfg)) == 2
+        assert f"{cfg}: missing required key '{key}'" in caplog.text
+
 
 class TestScoring:
     def test_score_align_identical_is_one(self, tmp_path, capsys):
@@ -209,6 +218,14 @@ class TestScoring:
         run("score-align", "--hyp", str(h), "--gold", str(g))
         out = capsys.readouterr().out
         assert "precision=0.5000 recall=0.5000 f1=0.5000" in out
+
+    def test_score_align_malformed_token_reports_path_and_line(self, tmp_path, caplog):
+        h = tmp_path / "hyp.txt"
+        g = tmp_path / "gold.txt"
+        h.write_text("0-0\nx-1\n")
+        g.write_text("0-0\n1-1\n")
+        assert run("score-align", "--hyp", str(h), "--gold", str(g)) == 2
+        assert f"{h}:2: malformed alignment token 'x-1'" in caplog.text
 
     def test_score_bleu_identity(self, tmp_path, capsys):
         f = tmp_path / "sents.txt"

@@ -147,7 +147,7 @@ class TestAttention:
         tv = M.bind(p, tape)
         enc = encode([EOS_ID], tv, p.dims)
         att = attend(tape.var(np.zeros(p.dims.hidden)), enc, tv["bos_emb"], tv)
-        np.testing.assert_array_equal(att.alpha.data, [1.0])
+        np.testing.assert_array_equal(att.data, [1.0])
 
     def test_identical_states_give_uniform_attention(self):
         p = make_params()
@@ -158,7 +158,7 @@ class TestAttention:
         h = T.Tensor(np.tile(enc.h_mat.data[:1], (3, 1)))
         enc_same = M.EncoderStates(enc.fwd, enc.bwd, h, enc.fwd_mat, enc.bwd_mat)
         att = attend(tape.var(np.zeros(p.dims.hidden)), enc_same, tv["bos_emb"], tv)
-        np.testing.assert_allclose(att.alpha.data, np.full(3, 1 / 3))
+        np.testing.assert_allclose(att.data, np.full(3, 1 / 3))
 
     def test_gradient_of_weighted_alpha(self):
         src = [3, 4, EOS_ID]
@@ -168,7 +168,7 @@ class TestAttention:
         def f(leaves):
             enc = encode(src, leaves, base.dims)
             att = attend(T.const(np.zeros(base.dims.hidden)), enc, leaves["bos_emb"], leaves)
-            return T.dot(att.alpha, T.const(weights))
+            return T.sumall(T.mul(att, T.const(weights)))
 
         names = ["attn.Ws", "attn.Wh", "attn.Wy", "attn.b", "attn.v", "bos_emb"]
         sub = {k: base.tensors[k] for k in names}
@@ -217,10 +217,14 @@ class TestForward:
         tape = T.Tape()
         tv = M.bind(p, tape)
         enc = encode(make_pair().src_ids, tv, p.dims)
-        ones = T.const(np.ones(p.dims.hidden))
         s = M.initial_state(enc, tv)
-        _, _, _, lp, _ = M.decode_step(s, tv["bos_emb"], enc, tv, p.dims, ones)
+        _, lp, _ = M.decode_step(s, tv["bos_emb"], enc, tv)
         assert np.log(np.exp(lp.data).sum()) == pytest.approx(0.0, abs=1e-6)
+
+    def test_greedy_step_inputs_record_no_tape(self):
+        tv, enc, h_proj = M.greedy_step_inputs(make_params(1), make_pair().src_ids)
+        assert all(t.tape is None for t in tv.values())
+        assert enc.h_mat.tape is None and h_proj.tape is None
 
     def test_deterministic(self):
         p = make_params(9)
