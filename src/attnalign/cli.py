@@ -211,10 +211,14 @@ def cmd_dump_attn(args):
     matrices = [evaluation.dump_attention(params, p) for p in pairs]
     supervision.write_matrices(matrices, args.out)
     if args.align_out:
+        # one links line per input line, empty for a skipped pair (as translate does)
+        with open(args.src, encoding="utf-8") as fh:
+            lines = [""] * len(fh.read().splitlines())
+        for pair, mat in zip(pairs, matrices):
+            links = evaluation.extract_alignment(mat, threshold=args.threshold)
+            lines[pair.pair_index] = corpus.format_pharaoh(links, flip=args.flip)
         with open(args.align_out, "w", encoding="utf-8") as fh:
-            for mat in matrices:
-                links = evaluation.extract_alignment(mat, threshold=args.threshold)
-                fh.write(corpus.format_pharaoh(links, flip=args.flip) + "\n")
+            fh.writelines(line + "\n" for line in lines)
     log.info("dumped %d attention matrices to %s", len(matrices), args.out)
     return 0
 

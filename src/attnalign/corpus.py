@@ -100,7 +100,8 @@ def build_vocab(path, max_size):
 
 @dataclass
 class SentencePair:
-    """Integer-encoded pair; both sides end in eos."""
+    """Integer-encoded pair; both sides end in eos. ``pair_index`` is the
+    0-based input line the pair came from."""
 
     src_ids: list
     tgt_ids: list
@@ -152,7 +153,7 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
     pairs, kept = [], []
     skipped_empty = skipped_long = 0
     for n, (s, t) in enumerate(zip(src_lines, tgt_lines)):
-        pair = encode_pair(s, t, src_vocab, tgt_vocab, pair_index=len(pairs))
+        pair = encode_pair(s, t, src_vocab, tgt_vocab, pair_index=n)
         if pair is None:
             skipped_empty += 1
             continue
@@ -217,7 +218,8 @@ def format_pharaoh(alignment_or_links, flip=False):
 
 
 def load_pharaoh_file(path, pairs, flip=False):
-    """One HardAlignment per retained SentencePair (line-aligned file)."""
+    """One HardAlignment per retained SentencePair, read from the line its
+    ``pair_index`` names (the file is line-aligned with the corpus)."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     alignments = []

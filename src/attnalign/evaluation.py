@@ -12,7 +12,13 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import EOS_ID
-from .model import decode_step, forward_teacher_forced, greedy_step_inputs, initial_state
+from .model import (
+    decode_step,
+    forward_teacher_forced,
+    greedy_step_inputs,
+    initial_state,
+    output_log_probs,
+)
 
 EXTRACT_THRESHOLD = 0.2
 
@@ -34,14 +40,15 @@ def greedy_decode(params, src_ids, max_len=80):
     out_ids, rows = [], []
     score = 0.0
     for _ in range(max_len):
-        s, lp, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
+        s, o, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
+        lp = output_log_probs(o, tv)
         y = int(np.argmax(lp.data))
         out_ids.append(y)
         rows.append(np.asarray(alpha.data))
         score += float(lp.data[y])
         if y == EOS_ID:
             break
-        y_prev_emb = T.row(tv["tgt_emb"], y)
+        y_prev_emb = T.Tensor(tv["tgt_emb"].data[y])
     return Hypothesis(out_ids, np.stack(rows), score)
 
 

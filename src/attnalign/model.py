@@ -15,6 +15,7 @@ attention matrix, so it can be trained against the A partition alone.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 
@@ -154,7 +155,7 @@ class EncoderStates:
 
 @dataclass
 class DecoderTrace:
-    log_probs: list  # m scalar Tensors, log p of each reference token
+    log_probs: T.Tensor  # (m,), log p of each reference token
     attention: T.Tensor  # (m, l)
     tape: T.Tape
     leaves: dict
@@ -171,7 +172,8 @@ def encode(src_ids, tv, dims, dtype=np.float64):
     """Bidirectional GRU over the source, from zero initial states."""
     l = len(src_ids)
     zeros = T.const(np.zeros(dims.hidden, dtype=dtype), dtype)
-    embeds = [T.row(tv["src_emb"], i) for i in src_ids]
+    emb = T.embed(tv["src_emb"], src_ids)
+    embeds = [T.row(emb, t) for t in range(l)]
     fwd = []
     h = zeros
     for t in range(l):
@@ -214,20 +216,30 @@ def attention_context(alpha, enc):
 
 
 def decode_step(s_prev, y_prev_emb, enc, tv, h_proj=None):
-    """One decoder step; returns (s_t, log_prob_vector, attention)."""
+    """One decoder step; returns (s_t, o_t, attention), where o_t is the
+    output-layer state that ``output_log_probs`` maps to the vocabulary."""
     alpha = attend(s_prev, enc, y_prev_emb, tv, h_proj)
     context = attention_context(alpha, enc)
     s_t = _gru_step(tv, "dec", T.concat([y_prev_emb, context]), s_prev)
     o_t = T.tanh(T.matvec(tv["out.W1"], T.concat([s_t, y_prev_emb])) + tv["out.b1"])
-    log_probs = T.log_softmax(T.matvec(tv["out.W2"], o_t))
-    return s_t, log_probs, alpha
+    return s_t, o_t, alpha
+
+
+def output_log_probs(o, tv):
+    """Target-vocabulary log-probabilities from output-layer states: (V,)
+    for one state of shape (out,), (m, V) for m states stacked as rows, which
+    costs one matrix product for the whole sentence."""
+    if o.data.ndim == 1:
+        return T.log_softmax(T.matvec(tv["out.W2"], o))
+    return T.log_softmax(T.matmul(o, T.transpose(tv["out.W2"])))
 
 
 def forward_teacher_forced(params, pair):
     """Run the full model on one pair, feeding reference target tokens.
 
-    The first decoder input is a learned begin-of-sentence embedding.
-    Deterministic; records on a fresh tape.
+    The first decoder input is a learned begin-of-sentence embedding. Each
+    embedding table is gathered once, and the output projection runs once
+    over the stacked decoder outputs. Deterministic; records on a fresh tape.
     """
     dtype = next(iter(params.tensors.values())).dtype
     tape = T.Tape(dtype)
@@ -236,15 +248,15 @@ def forward_teacher_forced(params, pair):
     h_proj = attention_projection(enc, tv)
 
     s = initial_state(enc, tv)
-    y_prev_emb = tv["bos_emb"]
-    log_probs, alphas = [], []
-    for y_t in pair.tgt_ids:
-        s, lp, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
-        log_probs.append(T.pick(lp, y_t))
+    prev_emb = T.embed(tv["tgt_emb"], pair.tgt_ids[:-1])
+    inputs = [tv["bos_emb"]] + [T.row(prev_emb, t) for t in range(pair.tgt_len - 1)]
+    outputs, alphas = [], []
+    for y_prev_emb in inputs:
+        s, o, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
+        outputs.append(o)
         alphas.append(alpha)
-        y_prev_emb = T.row(tv["tgt_emb"], y_t)
-    attention = T.stack_rows(alphas)
-    return DecoderTrace(log_probs, attention, tape, tv)
+    log_probs = T.pick(output_log_probs(T.stack_rows(outputs), tv), pair.tgt_ids)
+    return DecoderTrace(log_probs, T.stack_rows(alphas), tape, tv)
 
 
 def greedy_step_inputs(params, src_ids):
@@ -269,6 +281,20 @@ class CheckpointError(ValueError):
 
 
 def save_checkpoint(params, path):
+    """Write ``params`` to ``path`` atomically: the bytes go to a temporary
+    file in the same directory, which then replaces ``path``, so a write
+    that fails midway leaves any previous checkpoint intact."""
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        _write_checkpoint(params, tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
+def _write_checkpoint(params, path):
     with open(path, "wb") as fh:
         header = [
             "format=attnalign-checkpoint-1",

@@ -3,8 +3,13 @@
 Values are numpy arrays. A Tape records primitive operations in execution
 order (define-by-run, rebuilt per forward pass); ``backward`` walks the tape
 in reverse and accumulates adjoints. Only the primitives needed by the
-encoder-decoder model are provided: matrix products, concatenation,
-elementwise tanh/sigmoid/multiply, softmax, sum, square, sqrt.
+encoder-decoder model are provided:
+
+- elementwise: add, sub, neg, mul, scale, tanh, sigmoid, square, sqrt;
+- products: matvec, vecmat, matmul, transpose, add_rowvec;
+- assembly and indexing: concat, stack_rows, row, embed (gather rows of a
+  table, scattered back once in the VJP), pick (one entry per row);
+- reductions: sumall, softmax (1-D), log_softmax (1-D or row-wise 2-D).
 """
 
 from __future__ import annotations
@@ -158,6 +163,13 @@ def matmul(a, b):
     return _record(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
 
 
+def transpose(m):
+    """The transpose of a 2-D tensor (a view, no copy)."""
+    if m.data.ndim != 2:
+        _check_shapes("transpose", m.data.shape, "(m, n)")
+    return _record(m.data.T, [(m, lambda g: g.T)])
+
+
 def add_rowvec(m, v):
     """Add a row vector to every row of a matrix."""
     if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
@@ -184,8 +196,29 @@ def concat(parts):
     return _record(out, parents)
 
 
+def embed(table, ids):
+    """Rows ``ids`` of a 2-D table, gathered into one (len(ids), E) tensor.
+
+    The VJP scatters the row gradients into a single table-shaped array.
+    Repeated ids are summed last position first, the order in which
+    backward reaches one lookup per position, so the table's gradient is
+    bit-identical to per-position lookups.
+    """
+    ids = np.asarray(ids, dtype=np.intp)
+    out = table.data[ids]
+    shp = table.data.shape
+
+    def vjp(g):
+        full = np.zeros(shp, dtype=g.dtype)
+        np.add.at(full, ids[::-1], g[::-1])
+        return full
+
+    return _record(out, [(table, vjp)])
+
+
 def row(x, i):
-    """Row i of a 2-D tensor (used for embedding lookup)."""
+    """Row i of a 2-D tensor (splits a gathered embedding matrix into
+    per-position inputs)."""
     out = x.data[i]
     shp = x.data.shape
 
@@ -197,14 +230,18 @@ def row(x, i):
     return _record(out, [(x, vjp)])
 
 
-def pick(x, i):
-    """Element i of a 1-D tensor, as a scalar."""
-    out = np.asarray(x.data[i])
-    n = x.data.shape[0]
+def pick(x, ids):
+    """Entry ids[k] of every row k of a 2-D tensor, as a (rows,) tensor."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if x.data.ndim != 2 or ids.shape != x.data.shape[:1]:
+        _check_shapes("pick", x.data.shape, ids.shape)
+    rows = np.arange(len(ids))
+    out = x.data[rows, ids]
+    shp = x.data.shape
 
     def vjp(g):
-        full = np.zeros(n, dtype=x.data.dtype)
-        full[i] = g
+        full = np.zeros(shp, dtype=g.dtype)
+        full[rows, ids] = g
         return full
 
     return _record(out, [(x, vjp)])
@@ -265,16 +302,21 @@ def softmax(x):
 
 
 def log_softmax(x):
-    """Stable log-softmax over a 1-D tensor."""
-    if x.data.ndim != 1:
-        _check_shapes("log_softmax", x.data.shape, "(n,)")
-    z = x.data - x.data.max()
-    lse = np.log(np.exp(z).sum())
+    """Stable log-softmax over a 1-D tensor, or over each row of a 2-D one."""
+    if x.data.ndim == 1:
+        # no keepdims here: greedy decoding runs this once per emitted token
+        z = x.data - x.data.max()
+        lse = np.log(np.exp(z).sum())
+    elif x.data.ndim == 2:
+        z = x.data - x.data.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
+    else:
+        _check_shapes("log_softmax", x.data.shape, "(n,) or (m, n)")
     out = z - lse
     probs = np.exp(out)
 
     def vjp(g):
-        return g - probs * g.sum()
+        return g - probs * g.sum(axis=-1, keepdims=True)
 
     return _record(out, [(x, vjp)])
 
@@ -284,27 +326,44 @@ def log_softmax(x):
 
 
 def backward(tape, loss):
-    """Adjoints for every node reachable from a scalar loss.
+    """Adjoints of the tape's leaves with respect to a scalar loss.
 
-    Returns a list indexed by node id; unreachable nodes hold None.
-    Deterministic: identical tapes give bit-identical gradients.
+    Returns a list indexed by node id: each leaf (``Tape.var``) the loss
+    depends on holds its adjoint, every other entry is None. An interior
+    node's adjoint is released as soon as its VJPs have run, so memory
+    holds only the adjoints still being summed.
+
+    Repeated contributions are added in place, but only into arrays that
+    backward allocated itself: an array a VJP returned may be shared (the
+    VJPs of ``add`` hand the same array to both parents) and is never
+    written to. ``a += g`` rounds exactly like ``a + g``, so identical
+    tapes give bit-identical gradients.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss was not produced on this tape")
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    adjoints = [None] * len(tape._nodes)
+    nodes = tape._nodes
+    adjoints = [None] * len(nodes)
+    owned = set()  # ids whose adjoint array backward allocated
     adjoints[loss.node] = np.asarray(1.0, dtype=loss.data.dtype)
     for nid in range(loss.node, -1, -1):
         a = adjoints[nid]
-        if a is None:
+        parents = nodes[nid]
+        if a is None or not parents:
             continue
-        for pid, vjp in tape._nodes[nid]:
+        adjoints[nid] = None
+        for pid, vjp in parents:
             g = vjp(a)
-            if adjoints[pid] is None:
+            acc = adjoints[pid]
+            if acc is None:
                 adjoints[pid] = g
+            elif pid in owned:
+                acc += g
+                adjoints[pid] = acc  # a 0-d sum is a numpy scalar, which += rebinds
             else:
-                adjoints[pid] = adjoints[pid] + g
+                adjoints[pid] = acc + g
+                owned.add(pid)
     return adjoints
 
 

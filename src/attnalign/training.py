@@ -119,10 +119,7 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
         raise ValueError(f"{kind} objective requires a supervision matrix")
 
     def translation_term():
-        total = trace.log_probs[0]
-        for lp in trace.log_probs[1:]:
-            total = T.add(total, lp)
-        return T.neg(total)
+        return T.neg(T.sumall(trace.log_probs))
 
     def alignment_term():
         return T.scale(attention_distance(trace.attention, sup), align_weight)
@@ -138,7 +135,7 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
 
 def sentence_loss_parts(trace, sup):
     """(translation nll, alignment distance) as plain floats, for logging."""
-    nll = -sum(float(lp.data) for lp in trace.log_probs)
+    nll = -sum(trace.log_probs.data.tolist())
     dist = attention_distance(trace.attention.data, sup) if sup is not None else 0.0
     return nll, dist
 
@@ -235,14 +232,14 @@ def batch_step(params, batch, phase, config, state, trainable):
     Batch loss is the mean of per-sentence losses; returns summed
     (translation nll, alignment distance) for logging.
     """
-    grads = {n: np.zeros_like(v) for n, v in params.tensors.items()}
+    grads = {n: np.zeros_like(params.tensors[n]) for n in trainable}
     sum_nll = 0.0
     sum_dist = 0.0
     for k, pair in enumerate(batch.pairs):
         sup = batch.supervision[k] if batch.supervision is not None else None
         trace = forward_teacher_forced(params, pair)
         loss = sentence_loss(trace, sup, phase.objective, config.align_weight)
-        g = T.gradients(trace.tape, loss, trace.leaves)
+        g = T.gradients(trace.tape, loss, {n: trace.leaves[n] for n in trainable})
         for n in trainable:
             grads[n] += g[n]
         nll, dist = sentence_loss_parts(trace, sup)
@@ -292,6 +289,8 @@ def train_phase(params, pairs, supervision, phase, config, epoch_offset=0, log_f
         if log_fh is not None:
             log_fh.write(ep.format_line() + "\n")
             log_fh.flush()
+    log.info("phase %s: skipped %d batches with non-finite gradients",
+             phase_tag, state.skipped_batches)
     return report
 
 

@@ -124,14 +124,15 @@ def _joint_objective(leaves, dims, pair, sup, lam):
     h_proj = M.attention_projection(enc, leaves)
     s = M.initial_state(enc, leaves)
     y_prev = leaves["bos_emb"]
-    nll = None
+    outputs = []
     alphas = []
     for y_t in pair.tgt_ids:
-        s, lp, alpha = M.decode_step(s, y_prev, enc, leaves, h_proj)
-        term = T.neg(T.pick(lp, y_t))
-        nll = term if nll is None else T.add(nll, term)
+        s, o, alpha = M.decode_step(s, y_prev, enc, leaves, h_proj)
+        outputs.append(o)
         alphas.append(alpha)
         y_prev = T.row(leaves["tgt_emb"], y_t)
+    lp = M.output_log_probs(T.stack_rows(outputs), leaves)
+    nll = T.neg(T.sumall(T.pick(lp, pair.tgt_ids)))
     dist = attention_distance(T.stack_rows(alphas), sup)
     return T.add(nll, T.scale(dist, lam))
 

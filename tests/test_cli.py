@@ -308,6 +308,39 @@ class TestDecodeCommands:
             np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-6)
         assert len((trained / "links.txt").read_text().splitlines()) == len(srcs)
 
+    def test_dump_attn_links_keep_one_line_per_input_line(self, copy_corpus, trained):
+        # input line 3 is empty: its pair is skipped, its links line is empty
+        keep = [0, 1, None, 2, 3, 4]
+        for ext in ("src", "tgt", "align"):
+            lines = (trained / f"toy.{ext}").read_text().splitlines()
+            text = "".join(("" if k is None else lines[k]) + "\n" for k in keep)
+            (trained / f"gap.{ext}").write_text(text)
+        links = trained / "gap.links"
+        rc = run(
+            "dump-attn",
+            "--checkpoint",
+            str(trained / "m.ckpt"),
+            "--src-vocab",
+            str(trained / "v.src.vocab"),
+            "--tgt-vocab",
+            str(trained / "v.tgt.vocab"),
+            "--src",
+            str(trained / "gap.src"),
+            "--tgt",
+            str(trained / "gap.tgt"),
+            "--out",
+            str(trained / "gap.attn"),
+            "--align-out",
+            str(links),
+        )
+        assert rc == 0
+        assert len(links.read_text().splitlines()) == 6
+        assert links.read_text().splitlines()[2] == ""
+        from attnalign.supervision import read_matrices
+
+        assert len(read_matrices(trained / "gap.attn")) == 5
+        assert run("score-align", "--hyp", str(links), "--gold", str(trained / "gap.align")) == 0
+
 
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "c.cfg"

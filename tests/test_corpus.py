@@ -12,6 +12,7 @@ from attnalign.corpus import (
     encode_pair,
     format_pharaoh,
     load_parallel,
+    load_pharaoh_file,
     make_batches,
     parse_pharaoh,
 )
@@ -95,6 +96,19 @@ def test_load_parallel_skips_and_counts(tmp_path, caplog):
     assert len(pairs) == 2
     assert kept == [0, 3]
     assert all(p.src_ids[-1] == EOS_ID and p.tgt_ids[-1] == EOS_ID for p in pairs)
+
+
+def test_alignment_follows_its_line_after_a_skipped_pair(tmp_path):
+    src, tgt, align = tmp_path / "s", tmp_path / "t", tmp_path / "a"
+    src.write_text("a b\n\nb a\n", encoding="utf-8")
+    tgt.write_text("x y\nx\ny x\n", encoding="utf-8")
+    align.write_text("0-0 1-1\n\n0-1 1-0\n", encoding="utf-8")
+    sv, tv = Vocab(["a", "b"]), Vocab(["x", "y"])
+    pairs, kept = load_parallel(src, tgt, sv, tv)
+    assert kept == [0, 2]
+    assert [p.pair_index for p in pairs] == [0, 2]
+    alignments = load_pharaoh_file(align, pairs)
+    assert alignments[1].links == {(2, 1), (1, 2)}
 
 
 class TestPharaoh:

@@ -77,6 +77,20 @@ def oracle_forward(params, pair):
     return total_logp, np.stack(attn)
 
 
+def reference_backward(tape, loss):
+    """Out-of-place ``a + g`` accumulation over every node, nothing released."""
+    adjoints = [None] * len(tape._nodes)
+    adjoints[loss.node] = np.asarray(1.0, dtype=loss.data.dtype)
+    for nid in range(loss.node, -1, -1):
+        a = adjoints[nid]
+        if a is None:
+            continue
+        for pid, vjp in tape._nodes[nid]:
+            g = vjp(a)
+            adjoints[pid] = g if adjoints[pid] is None else adjoints[pid] + g
+    return adjoints
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -197,7 +211,7 @@ class TestForward:
         p = make_params(11)
         pair = make_pair()
         trace = forward_teacher_forced(p, pair)
-        got = sum(float(lp.data) for lp in trace.log_probs)
+        got = sum(float(lp) for lp in trace.log_probs.data)
         want_logp, want_attn = oracle_forward(p, pair)
         assert got == pytest.approx(want_logp, rel=1e-12)
         np.testing.assert_allclose(trace.attention.data, want_attn, atol=1e-12)
@@ -208,7 +222,7 @@ class TestForward:
 
     def test_log_probs_non_positive(self):
         trace = forward_teacher_forced(make_params(1), make_pair())
-        assert all(float(lp.data) <= 0 for lp in trace.log_probs)
+        assert all(float(lp) <= 0 for lp in trace.log_probs.data)
 
     def test_log_softmax_normalized(self):
         p = make_params(1)
@@ -218,8 +232,22 @@ class TestForward:
         tv = M.bind(p, tape)
         enc = encode(make_pair().src_ids, tv, p.dims)
         s = M.initial_state(enc, tv)
-        _, lp, _ = M.decode_step(s, tv["bos_emb"], enc, tv)
+        _, o, _ = M.decode_step(s, tv["bos_emb"], enc, tv)
+        lp = M.output_log_probs(o, tv)
         assert np.log(np.exp(lp.data).sum()) == pytest.approx(0.0, abs=1e-6)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_gradients_equal_reference_backward(self, dtype):
+        p = init_params(DIMS, seed=4, dtype=dtype, init_scale=0.5)
+        pair = SentencePair([3, 5, 3, 3, EOS_ID], [4, 4, 7, 4, EOS_ID])  # repeated ids
+        trace = forward_teacher_forced(p, pair)
+        loss = T.add(T.neg(T.sumall(trace.log_probs)),
+                     attention_distance(trace.attention, np.full((5, 5), 0.2)))
+        grads = T.gradients(trace.tape, loss, trace.leaves)
+        want = reference_backward(trace.tape, loss)
+        for name, leaf in trace.leaves.items():
+            assert want[leaf.node] is not None, name
+            assert np.array_equal(grads[name], want[leaf.node]), name
 
     def test_greedy_step_inputs_record_no_tape(self):
         tv, enc, h_proj = M.greedy_step_inputs(make_params(1), make_pair().src_ids)
@@ -231,7 +259,7 @@ class TestForward:
         t1 = forward_teacher_forced(p, make_pair())
         t2 = forward_teacher_forced(p, make_pair())
         assert np.array_equal(t1.attention.data, t2.attention.data)
-        assert [float(a.data) for a in t1.log_probs] == [float(b.data) for b in t2.log_probs]
+        assert [float(a) for a in t1.log_probs.data] == [float(b) for b in t2.log_probs.data]
 
 
 class TestPartition:
@@ -259,6 +287,17 @@ class TestPartition:
 
 
 class TestCheckpoint:
+    def test_failed_write_keeps_previous_checkpoint(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(make_params(1), path)
+        before = path.read_bytes()
+        broken = make_params(2)
+        broken.tensors["out.W2"] = np.array([["not a number"]], dtype=object)  # last tensor
+        with pytest.raises(ValueError):
+            save_checkpoint(broken, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.ckpt"]
+
     def test_round_trip_bit_exact(self, tmp_path):
         p = init_params(DIMS, seed=13, dtype=np.float32, init_scale=0.3)
         path = tmp_path / "m.ckpt"

@@ -81,6 +81,10 @@ def test_three_layer_tanh_network_matches_finite_differences():
     assert report.passed, report.max_rel_error
 
 
+# distinct weights per entry, so repeated rows receive different gradients
+W32 = [[1.0, 2.0], [3.0, 4.0], [-0.5, 1.5]]
+
+
 @pytest.mark.parametrize(
     "name,f,shapes",
     [
@@ -88,14 +92,18 @@ def test_three_layer_tanh_network_matches_finite_differences():
         ("vecmat", lambda v: T.sumall(T.square(T.vecmat(v["b"], v["c"]))), {"b": (3,), "c": (3, 2)}),
         ("matmul", lambda v: T.sumall(T.square(T.matmul(v["a"], v["d"]))), {"a": (3, 4), "d": (4, 2)}),
         ("softmax", lambda v: T.sumall(T.mul(T.softmax(v["b"]), T.const([1.0, 2.0, 3.0]))), {"b": (3,)}),
-        ("log_softmax", lambda v: T.pick(T.log_softmax(v["b"]), 1), {"b": (3,)}),
+        ("log_softmax", lambda v: T.sumall(T.mul(T.log_softmax(v["b"]), T.const([0.5, -1.0, 2.0]))), {"b": (3,)}),
         ("concat", lambda v: T.sumall(T.square(T.concat([v["b"], v["e"]]))), {"b": (3,), "e": (2,)}),
         ("sub_float_left", lambda v: T.sumall(T.square(T.sub(1.0, v["b"]))), {"b": (3,)}),
         ("stack", lambda v: T.sumall(T.square(T.stack_rows([v["b"], v["g"]]))), {"b": (3,), "g": (3,)}),
         ("sigmoid", lambda v: T.sumall(T.sigmoid(v["b"])), {"b": (3,)}),
         ("sqrt_sum_square", lambda v: T.sqrt(T.sumall(T.square(v["b"]))), {"b": (3,)}),
-        ("row", lambda v: T.sumall(T.square(T.row(v["c"], 1))), {"c": (3, 2)}),
+        ("embed", lambda v: T.sumall(T.mul(T.square(T.embed(v["c"], [2, 0, 2])), T.const(W32))), {"c": (3, 2)}),
         ("add_rowvec", lambda v: T.sumall(T.square(T.add_rowvec(v["c"], v["i"]))), {"c": (3, 2), "i": (2,)}),
+        ("row", lambda v: T.sumall(T.square(T.row(v["c"], 1))), {"c": (3, 2)}),
+        ("log_softmax_rows", lambda v: T.sumall(T.mul(T.log_softmax(v["c"]), T.const(W32))), {"c": (3, 2)}),
+        ("pick_rows", lambda v: T.sumall(T.pick(T.log_softmax(v["k"]), [2, 0])), {"k": (2, 3)}),
+        ("transpose", lambda v: T.sumall(T.square(T.matmul(v["c"], T.transpose(v["l"])))), {"c": (3, 2), "l": (4, 2)}),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, f, shapes):
@@ -103,6 +111,39 @@ def test_primitive_gradients_match_finite_differences(name, f, shapes):
     params = {k: rng.normal(scale=0.8, size=s) for k, s in shapes.items()}
     report = T.finite_diff_check(f, params, step=1e-5, tolerance=1e-6)
     assert report.passed, (name, report.max_rel_error)
+
+
+def test_shared_identity_adjoint_is_not_mutated():
+    # add() is the last consumer of a and b, so backward reaches it first
+    # and its VJPs hand one array to both as their first adjoint. Both are
+    # then summed into again by their earlier consumers; an in-place add
+    # into the shared array would leak b's gradient into a's.
+    def f(v):
+        a = T.tanh(v["x"])
+        b = T.sigmoid(v["y"])
+        early = T.add(T.mul(a, b), T.mul(b, b))
+        shared = T.add(a, b)
+        return T.sumall(T.add(T.square(shared), early))
+
+    rng = np.random.default_rng(5)
+    params = {"x": rng.normal(size=4), "y": rng.normal(size=4)}
+    report = T.finite_diff_check(f, params, step=1e-5, tolerance=1e-6)
+    assert report.passed, report.max_rel_error
+
+
+def test_backward_returns_only_leaf_adjoints():
+    tape = T.Tape()
+    w = tape.var([0.5, -1.5])
+    h = T.tanh(w)
+    loss = T.sumall(T.mul(h, h))
+    adjoints = T.backward(tape, loss)
+    assert adjoints[w.node] is not None
+    assert adjoints[h.node] is None and adjoints[loss.node] is None
+
+
+def test_pick_needs_one_id_per_row():
+    with pytest.raises(T.ShapeError):
+        T.pick(T.const(np.zeros((2, 3))), [0, 1, 2])
 
 
 @settings(max_examples=50, deadline=None)

@@ -247,10 +247,22 @@ def test_batch_loss_matches_scalar_oracle():
     total_nll = total_dist = 0.0
     for pair, s in zip(pairs, sup):
         trace = forward_teacher_forced(snapshot, pair)
-        total_nll += -sum(float(lp.data) for lp in trace.log_probs)
+        total_nll += -sum(float(lp) for lp in trace.log_probs.data)
         total_dist += float(np.sqrt(((np.asarray(trace.attention.data) - s) ** 2).sum()))
     assert report.epochs[0].mean_translation_loss == pytest.approx(total_nll / 5, rel=1e-12)
     assert report.epochs[0].mean_alignment_distance == pytest.approx(total_dist / 5, rel=1e-12)
+
+
+def test_phase_reports_skipped_batches(caplog):
+    params = make_params(2)
+    pairs, sup = tiny_corpus(3, seed=1)
+    sup[1] = np.full_like(sup[1], np.nan)  # one batch gets a non-finite gradient
+    cfg = TrainConfig(schedule=[Phase(training.JOINT, "ALL", 1)], batch_size=1, seed=0)
+    with caplog.at_level("INFO", logger="attnalign.training"):
+        train_phase(params, pairs, sup, cfg.schedule[0], cfg)
+    infos = [r.getMessage() for r in caplog.records if r.levelname == "INFO"]
+    assert "phase JOINT:ALL: skipped 1 batches with non-finite gradients" in infos
+    assert not any("batch skipped" in m for m in infos)
 
 
 def test_clip_gradients_scales_to_max_norm():
