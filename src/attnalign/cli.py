@@ -29,8 +29,16 @@ def _echo_config(args):
 # config file (plain key=value lines, '#' comments)
 
 
+class Config(dict):
+    """key -> value text, plus ``lines``: key -> the line that set it."""
+
+    def __init__(self):
+        super().__init__()
+        self.lines = {}
+
+
 def parse_config_file(path):
-    cfg = {}
+    cfg = Config()
     with open(path, encoding="utf-8") as fh:
         for ln, line in enumerate(fh, 1):
             line = line.strip()
@@ -40,7 +48,75 @@ def parse_config_file(path):
                 raise ValueError(f"{path}:{ln}: expected key=value")
             key, _, val = line.partition("=")
             cfg[key.strip()] = val.strip()
+            cfg.lines[key.strip()] = ln
     return cfg
+
+
+REQUIRED = object()
+_POSITIVE = (lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE = (lambda v: v >= 0, "must be >= 0")
+_FLAG = (lambda v: v in (0, 1), "must be 0 or 1")
+
+# Every key a train config may set: key -> (type, default, check).
+TRAIN_KEYS = {
+    "train_src": (str, REQUIRED, None),
+    "train_tgt": (str, REQUIRED, None),
+    "train_align": (str, None, None),
+    "src_vocab": (str, None, None),
+    "tgt_vocab": (str, None, None),
+    "checkpoint": (str, None, None),
+    "log": (str, None, None),
+    "max_vocab": (int, 50000, _POSITIVE),
+    "max_len": (int, 50, _POSITIVE),
+    "pharaoh_flip": (int, 0, _FLAG),
+    "smoothing": (int, 0, _FLAG),
+    "window": (int, 2, _NON_NEGATIVE),
+    "sigma": (float, 0.5, (lambda v: v > 0, "must be > 0")),
+    "embed": (int, 64, _POSITIVE),
+    "hidden": (int, 64, _POSITIVE),
+    "attn": (int, 64, _POSITIVE),
+    "out": (int, 64, _POSITIVE),
+    "precision": (int, 64, (lambda v: v in (32, 64), "must be 32 or 64")),
+    "init_scale": (float, 0.08, None),
+    "seed": (int, 0, None),
+    "schedule": (str, "J", None),
+    "epochs": (int, 10, _NON_NEGATIVE),
+    "lambda": (float, 1.0, _NON_NEGATIVE),
+    "batch_size": (int, 80, _POSITIVE),
+    "rho": (float, 0.95, (lambda v: 0 < v < 1, "must be in (0, 1)")),
+    "eps": (float, 1e-6, (lambda v: v > 0, "must be > 0")),
+    "clip_norm": (float, training.DEFAULT_CLIP_NORM, None),
+}
+
+
+def train_settings(path, cfg):
+    """Every TRAIN_KEYS value, typed and checked, defaults filled in, and
+    the schedule parsed; an unknown key or a bad value raises
+    ``path:LINE: reason``."""
+    for key in cfg:
+        if key not in TRAIN_KEYS:
+            raise ValueError(f"{path}:{cfg.lines[key]}: unknown key {key!r}")
+    out = {}
+    for key, (cast, default, check) in TRAIN_KEYS.items():
+        if key not in cfg:
+            if default is REQUIRED:
+                raise ValueError(f"{path}: missing required key {key!r}")
+            out[key] = default
+            continue
+        where = f"{path}:{cfg.lines[key]}"
+        try:
+            value = cast(cfg[key])
+        except ValueError:
+            raise ValueError(f"{where}: {key} must be {cast.__name__}, got {cfg[key]!r}") from None
+        if check is not None and not check[0](value):
+            raise ValueError(f"{where}: {key} {check[1]}, got {cfg[key]!r}")
+        out[key] = value
+    try:
+        out["schedule"] = training.parse_schedule(out["schedule"], total_epochs=out["epochs"])
+    except ValueError as exc:
+        line = cfg.lines.get("schedule", cfg.lines.get("epochs"))
+        raise ValueError(f"{path}:{line}: {exc}" if line else f"{path}: {exc}") from None
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -100,55 +176,40 @@ def cmd_transform_align(args):
 
 def cmd_train(args):
     cfg = parse_config_file(args.config)
-    for key in ("train_src", "train_tgt"):
-        if key not in cfg:
-            raise ValueError(f"{args.config}: missing required key {key!r}")
-
-    def get(key, default=None, cast=str):
-        return cast(cfg[key]) if key in cfg else default
-
-    seed = get("seed", 0, int)
-    smoothing = bool(get("smoothing", 0, int))
-    smoothing_cfg = supervision.SmoothingConfig(
-        window=get("window", 2, int), sigma=get("sigma", 0.5, float)
-    )
-    align_weight = get("lambda", 1.0, float)
-    epochs = get("epochs", 10, int)
-    schedule = training.parse_schedule(get("schedule", "J"), total_epochs=epochs)
+    c = train_settings(args.config, cfg)
     train_cfg = training.TrainConfig(
-        schedule=schedule,
-        batch_size=get("batch_size", 80, int),
-        seed=seed,
-        align_weight=align_weight,
-        rho=get("rho", 0.95, float),
-        eps=get("eps", 1e-6, float),
-        clip_norm=get("clip_norm", training.DEFAULT_CLIP_NORM, float),
+        schedule=c["schedule"],
+        batch_size=c["batch_size"],
+        seed=c["seed"],
+        align_weight=c["lambda"],
+        rho=c["rho"],
+        eps=c["eps"],
+        clip_norm=c["clip_norm"],
     )
 
-    if "src_vocab" in cfg:
-        src_vocab = corpus.Vocab.load(cfg["src_vocab"])
-    else:
-        src_vocab = corpus.build_vocab(cfg["train_src"], get("max_vocab", 50000, int))
-    if "tgt_vocab" in cfg:
-        tgt_vocab = corpus.Vocab.load(cfg["tgt_vocab"])
-    else:
-        tgt_vocab = corpus.build_vocab(cfg["train_tgt"], get("max_vocab", 50000, int))
+    vocabs = []
+    for side in ("src", "tgt"):
+        if c[f"{side}_vocab"] is not None:
+            vocabs.append(corpus.Vocab.load(c[f"{side}_vocab"]))
+        else:
+            vocabs.append(corpus.build_vocab(c[f"train_{side}"], c["max_vocab"]))
+    src_vocab, tgt_vocab = vocabs
 
     pairs, _ = corpus.load_parallel(
-        cfg["train_src"], cfg["train_tgt"], src_vocab, tgt_vocab, max_len=get("max_len", 50, int)
+        c["train_src"], c["train_tgt"], src_vocab, tgt_vocab, max_len=c["max_len"]
     )
     if not pairs:
         raise ValueError("no usable training pairs")
 
-    needs_supervision = align_weight != 0.0 and any(
-        p.objective in (training.ALIGNMENT, training.JOINT) for p in schedule
+    needs_supervision = c["lambda"] != 0.0 and any(
+        p.objective in (training.ALIGNMENT, training.JOINT) for p in c["schedule"]
     )
     sup = None
-    if "train_align" in cfg:
-        alignments = corpus.load_pharaoh_file(
-            cfg["train_align"], pairs, flip=bool(get("pharaoh_flip", 0, int))
-        )
-        smooth = smoothing_cfg if smoothing else None
+    if c["train_align"] is not None:
+        alignments = corpus.load_pharaoh_file(c["train_align"], pairs, flip=bool(c["pharaoh_flip"]))
+        smooth = None
+        if c["smoothing"]:
+            smooth = supervision.SmoothingConfig(window=c["window"], sigma=c["sigma"])
         sup = [supervision.supervision_matrix(a, smooth) for a in alignments]
     elif needs_supervision:
         raise ValueError("schedule needs alignment supervision but train_align is not set")
@@ -156,49 +217,54 @@ def cmd_train(args):
     dims = ModelDims(
         src_vocab=len(src_vocab),
         tgt_vocab=len(tgt_vocab),
-        embed=get("embed", 64, int),
-        hidden=get("hidden", 64, int),
-        attn=get("attn", 64, int),
-        out=get("out", 64, int),
+        embed=c["embed"],
+        hidden=c["hidden"],
+        attn=c["attn"],
+        out=c["out"],
     )
-    dtype = np.float32 if get("precision", 64, int) == 32 else np.float64
-    params = init_params(dims, seed=seed, dtype=dtype, init_scale=get("init_scale", 0.08, float))
+    dtype = np.float32 if c["precision"] == 32 else np.float64
+    params = init_params(dims, seed=c["seed"], dtype=dtype, init_scale=c["init_scale"])
 
-    log.info("training config: %s", cfg)
-    log_fh = open(cfg["log"], "w", encoding="utf-8") if "log" in cfg else None
+    log.info("training config: %s", dict(cfg))
+    log_fh = open(c["log"], "w", encoding="utf-8") if c["log"] is not None else None
     try:
         training.run_schedule(
-            params, pairs, sup, train_cfg, checkpoint_prefix=get("checkpoint"), log_fh=log_fh
+            params, pairs, sup, train_cfg, checkpoint_prefix=c["checkpoint"], log_fh=log_fh
         )
     finally:
         if log_fh is not None:
             log_fh.close()
-    if "checkpoint" not in cfg:
+    if c["checkpoint"] is None:
         log.warning("no checkpoint path configured; trained model discarded")
     return 0
 
 
 def _load_model_and_vocabs(args):
+    """The checkpoint and both vocabularies, which must match its dims."""
     params = load_checkpoint(args.checkpoint)
-    src_vocab = corpus.Vocab.load(args.src_vocab)
-    tgt_vocab = corpus.Vocab.load(args.tgt_vocab)
-    return params, src_vocab, tgt_vocab
+    vocabs = []
+    for path, rows in ((args.src_vocab, params.dims.src_vocab),
+                       (args.tgt_vocab, params.dims.tgt_vocab)):
+        vocab = corpus.Vocab.load(path)
+        if len(vocab) != rows:
+            raise ValueError(f"{path}: vocabulary has {len(vocab)} entries, checkpoint expects {rows}")
+        vocabs.append(vocab)
+    return (params, *vocabs)
 
 
 def cmd_translate(args):
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
+    with open(args.src, encoding="utf-8") as fh:
+        lines = [line.split() for line in fh]
+    kept = [k for k, tokens in enumerate(lines) if tokens]
+    sources = [src_vocab.encode(lines[k]) + [corpus.EOS_ID] for k in kept]
+    hyps = evaluation.greedy_decode_all(params, sources, max_len=args.max_len)
+    out_lines = [""] * len(lines)
+    for k, hyp in zip(kept, hyps):
+        out_lines[k] = " ".join(tgt_vocab.decode(t for t in hyp.token_ids if t != corpus.EOS_ID))
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
-        with open(args.src, encoding="utf-8") as fh:
-            for line in fh:
-                tokens = line.split()
-                if not tokens:
-                    out.write("\n")
-                    continue
-                ids = src_vocab.encode(tokens) + [corpus.EOS_ID]
-                hyp = evaluation.greedy_decode(params, ids, max_len=args.max_len)
-                words = tgt_vocab.decode(t for t in hyp.token_ids if t != corpus.EOS_ID)
-                out.write(" ".join(words) + "\n")
+        out.writelines(line + "\n" for line in out_lines)
     finally:
         if out is not sys.stdout:
             out.close()
@@ -208,7 +274,7 @@ def cmd_translate(args):
 def cmd_dump_attn(args):
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
     pairs, _ = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
-    matrices = [evaluation.dump_attention(params, p) for p in pairs]
+    matrices = evaluation.dump_attention_all(params, pairs)
     supervision.write_matrices(matrices, args.out)
     if args.align_out:
         # one links line per input line, empty for a skipped pair (as translate does)

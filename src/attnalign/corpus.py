@@ -242,7 +242,12 @@ def load_pharaoh_file(path, pairs, flip=False):
 
 @dataclass
 class Batch:
+    """Pairs padded into (B, L) source and (B, M) target id arrays, PAD_ID
+    past each end; the masks are 1 on real tokens."""
+
     pairs: list
+    src_ids: np.ndarray
+    tgt_ids: np.ndarray
     src_mask: np.ndarray
     tgt_mask: np.ndarray
     supervision: list = None
@@ -251,15 +256,22 @@ class Batch:
         return len(self.pairs)
 
 
-def _masks(pairs):
-    max_l = max(p.src_len for p in pairs)
-    max_m = max(p.tgt_len for p in pairs)
-    src_mask = np.zeros((len(pairs), max_l), dtype=np.int8)
-    tgt_mask = np.zeros((len(pairs), max_m), dtype=np.int8)
-    for k, p in enumerate(pairs):
-        src_mask[k, : p.src_len] = 1
-        tgt_mask[k, : p.tgt_len] = 1
-    return src_mask, tgt_mask
+def pad(seqs):
+    """Id lists -> (ids, mask), both (len(seqs), longest): PAD_ID and 0
+    past the end of each list."""
+    width = max(len(s) for s in seqs)
+    ids = np.full((len(seqs), width), PAD_ID, dtype=np.intp)
+    mask = np.zeros((len(seqs), width), dtype=np.int8)
+    for k, s in enumerate(seqs):
+        ids[k, : len(s)] = s
+        mask[k, : len(s)] = 1
+    return ids, mask
+
+
+def make_batch(pairs, supervision=None):
+    src_ids, src_mask = pad([p.src_ids for p in pairs])
+    tgt_ids, tgt_mask = pad([p.tgt_ids for p in pairs])
+    return Batch(list(pairs), src_ids, tgt_ids, src_mask, tgt_mask, supervision)
 
 
 def make_batches(pairs, batch_size, bucket_by_length=False, seed=0, supervision=None):
@@ -281,8 +293,6 @@ def make_batches(pairs, batch_size, bucket_by_length=False, seed=0, supervision=
     rng.shuffle(chunks)
     batches = []
     for chunk in chunks:
-        chunk_pairs = [pairs[k] for k in chunk]
-        src_mask, tgt_mask = _masks(chunk_pairs)
         sup = [supervision[k] for k in chunk] if supervision is not None else None
-        batches.append(Batch(chunk_pairs, src_mask, tgt_mask, sup))
+        batches.append(make_batch([pairs[k] for k in chunk], sup))
     return batches

@@ -11,16 +11,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .corpus import EOS_ID
+from .corpus import EOS_ID, make_batch
 from .model import (
+    bind,
+    context_weights,
     decode_step,
-    forward_teacher_forced,
     greedy_step_inputs,
     initial_state,
     output_log_probs,
+    output_states,
+    target_projections,
+    teacher_forced,
 )
 
 EXTRACT_THRESHOLD = 0.2
+
+# Sentences decoded together by greedy_decode_all and dump_attention_all.
+DECODE_CHUNK = 32
 
 
 @dataclass
@@ -30,32 +37,74 @@ class Hypothesis:
     score: float  # sum of chosen log-probabilities
 
 
-def greedy_decode(params, src_ids, max_len=80):
-    """Emit the argmax token at each step until eos or max_len."""
+def _chunks(lengths):
+    """Input indices in chunks of DECODE_CHUNK, similar lengths together."""
+    order = sorted(range(len(lengths)), key=lengths.__getitem__)
+    return [order[k : k + DECODE_CHUNK] for k in range(0, len(order), DECODE_CHUNK)]
+
+
+def _greedy_batch(params, sources, max_len):
+    """Greedy decoding of one batch of sources: every step emits each
+    sentence's argmax token; a done mask stops a sentence at eos, and the
+    batch stops when all are done or after max_len steps."""
+    tv, enc, h_proj = greedy_step_inputs(params, sources)
+    ctx_w = context_weights(tv)
+    s = initial_state(enc, tv)
+    bos = tv["bos_emb"].data
+    y = T.Tensor(np.broadcast_to(bos, (len(sources), bos.shape[0])))
+    hyps = [Hypothesis([], [], 0.0) for _ in sources]
+    done = np.zeros(len(sources), dtype=bool)
+    for _ in range(max_len):
+        s, alpha = decode_step(s, target_projections(y, tv), enc, tv, h_proj, ctx_w)
+        lp = output_log_probs(output_states(s, y, tv), tv).data
+        best = lp.argmax(axis=1)
+        for k in np.flatnonzero(~done):
+            tok = int(best[k])
+            hyps[k].token_ids.append(tok)
+            hyps[k].attention.append(alpha.data[k, : len(sources[k])])
+            hyps[k].score += float(lp[k, tok])
+        done |= best == EOS_ID
+        if done.all():
+            break
+        y = T.Tensor(tv["tgt_emb"].data[best])
+    for hyp in hyps:
+        hyp.attention = np.stack(hyp.attention)
+    return hyps
+
+
+def greedy_decode_all(params, sources, max_len=80):
+    """One Hypothesis per source id list, in input order, decoded in chunks
+    of DECODE_CHUNK sentences on untracked parameters (no tape)."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    tv, enc, h_proj = greedy_step_inputs(params, src_ids)
-    s = initial_state(enc, tv)
-    y_prev_emb = tv["bos_emb"]
-    out_ids, rows = [], []
-    score = 0.0
-    for _ in range(max_len):
-        s, o, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
-        lp = output_log_probs(o, tv)
-        y = int(np.argmax(lp.data))
-        out_ids.append(y)
-        rows.append(np.asarray(alpha.data))
-        score += float(lp.data[y])
-        if y == EOS_ID:
-            break
-        y_prev_emb = T.Tensor(tv["tgt_emb"].data[y])
-    return Hypothesis(out_ids, np.stack(rows), score)
+    hyps = [None] * len(sources)
+    for chunk in _chunks([len(src) for src in sources]):
+        for k, hyp in zip(chunk, _greedy_batch(params, [sources[k] for k in chunk], max_len)):
+            hyps[k] = hyp
+    return hyps
+
+
+def greedy_decode(params, src_ids, max_len=80):
+    """Emit the argmax token at each step until eos or max_len."""
+    return greedy_decode_all(params, [src_ids], max_len)[0]
+
+
+def dump_attention_all(params, pairs):
+    """Teacher-forced (m, l) attention matrix of every pair, in input order,
+    computed in chunks of DECODE_CHUNK pairs on untracked parameters."""
+    tv = bind(params)
+    mats = [None] * len(pairs)
+    for chunk in _chunks([p.src_len for p in pairs]):
+        batch = make_batch([pairs[k] for k in chunk])
+        _, attention = teacher_forced(tv, params.dims, batch, with_log_probs=False)
+        for k, pair, mat in zip(chunk, batch.pairs, attention.data):
+            mats[k] = mat[: pair.tgt_len, : pair.src_len]
+    return mats
 
 
 def dump_attention(params, pair):
     """Teacher-forced attention matrix for one pair (matches the trace)."""
-    trace = forward_teacher_forced(params, pair)
-    return np.asarray(trace.attention.data)
+    return dump_attention_all(params, [pair])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .corpus import SentencePair, make_batch, pad
 
 INIT_SCALE = 0.08
 
@@ -135,136 +136,210 @@ def partition_filter(params, which):
     return [n for n in params.names() if params.partition[n] == which]
 
 
-def bind(params, tape):
-    """Register every parameter as a tracked leaf on a tape."""
+def bind(params, tape=None):
+    """Every parameter as a tracked leaf on ``tape``, or as an untracked
+    tensor when ``tape`` is None, so decoding records nothing."""
+    if tape is None:
+        return {name: T.Tensor(arr) for name, arr in params.tensors.items()}
     return {name: tape.var(arr) for name, arr in params.tensors.items()}
 
 
 # ---------------------------------------------------------------------------
 # forward pass
+#
+# Every function below runs a whole batch at once: sources are padded (B, L)
+# id arrays with a (B, L) mask, targets (B, M), and each decoder step is one
+# set of (B, .) nodes. Sentences never mix: the encoder carries its states
+# across padding, attention gives padded source positions exactly 0, and the
+# losses read only real rows, so a sentence's numbers do not depend on its
+# batch mates.
+
+GATES = ("z", "r", "c")
 
 
 @dataclass
 class EncoderStates:
-    fwd: list
-    bwd: list
-    h_mat: T.Tensor  # (l, 2*hidden): [fwd ; bwd] per row
-    fwd_mat: T.Tensor
-    bwd_mat: T.Tensor
+    h_mat: T.Tensor  # (B, L, 2*hidden): [fwd ; bwd] per position
+    ctx_mat: T.Tensor  # (B, L, 2*hidden): [bwd ; fwd], what the context sums
+    first_bwd: T.Tensor  # (B, hidden): the backward state at position 1
+    mask: np.ndarray  # (B, L): 1 on real source positions
 
 
 @dataclass
 class DecoderTrace:
-    log_probs: T.Tensor  # (m,), log p of each reference token
-    attention: T.Tensor  # (m, l)
+    """A teacher-forced run. For a batch: log_probs (B, M), 0 past each
+    target's end, and attention (B, M, L), whose rows past a target's end
+    are unused. For one pair: (m,) and (m, l)."""
+
+    log_probs: T.Tensor
+    attention: T.Tensor
     tape: T.Tape
     leaves: dict
+    src_lens: np.ndarray  # (B,), or None for one pair
+    tgt_lens: np.ndarray
 
 
-def _gru_step(tv, prefix, x, h_prev):
-    z = T.sigmoid(T.matvec(tv[f"{prefix}.Wz"], x) + T.matvec(tv[f"{prefix}.Uz"], h_prev) + tv[f"{prefix}.bz"])
-    r = T.sigmoid(T.matvec(tv[f"{prefix}.Wr"], x) + T.matvec(tv[f"{prefix}.Ur"], h_prev) + tv[f"{prefix}.br"])
-    c = T.tanh(T.matvec(tv[f"{prefix}.Wc"], x) + T.matvec(tv[f"{prefix}.Uc"], T.mul(r, h_prev)) + tv[f"{prefix}.bc"])
-    return T.add(T.mul(T.sub(1.0, z), h_prev), T.mul(z, c))
+def _gru_step(tv, prefix, x, h_prev, ctx=None, ctx_w=None):
+    """One GRU step; ``x`` holds the input's gate pre-activations W_g x + b_g,
+    computed outside the time loop, and ``ctx`` a second input multiplied
+    by ``ctx_w`` inside the step."""
+    return T.gru(x, h_prev, [tv[f"{prefix}.U{g}"] for g in GATES], ctx, ctx_w)
 
 
-def encode(src_ids, tv, dims, dtype=np.float64):
-    """Bidirectional GRU over the source, from zero initial states."""
-    l = len(src_ids)
-    zeros = T.const(np.zeros(dims.hidden, dtype=dtype), dtype)
+def _step(parts, t):
+    return [T.take(p, np.s_[:, t]) for p in parts]
+
+
+def encode(src_ids, tv, dims, mask=None):
+    """Bidirectional GRU over padded sources (B, L), from zero initial
+    states. The input projections run once per gate and direction over all
+    positions. Past a source's end (mask 0) the forward state is carried and
+    the backward state stays zero, so a sentence's states at its real
+    positions are those of its unpadded run."""
+    src_ids = np.asarray(src_ids)
+    mask = np.ones(src_ids.shape, dtype=np.int8) if mask is None else np.asarray(mask)
+    n, l = src_ids.shape
     emb = T.embed(tv["src_emb"], src_ids)
-    embeds = [T.row(emb, t) for t in range(l)]
-    fwd = []
-    h = zeros
-    for t in range(l):
-        h = _gru_step(tv, "enc_fwd", embeds[t], h)
-        fwd.append(h)
-    bwd = [None] * l
-    h = zeros
-    for t in range(l - 1, -1, -1):
-        h = _gru_step(tv, "enc_bwd", embeds[t], h)
-        bwd[t] = h
-    fwd_mat = T.stack_rows(fwd)
-    bwd_mat = T.stack_rows(bwd)
-    h_mat = T.stack_rows([T.concat([fwd[i], bwd[i]]) for i in range(l)])
-    return EncoderStates(fwd, bwd, h_mat, fwd_mat, bwd_mat)
+    zeros = T.const(np.zeros((n, dims.hidden)), emb.data.dtype)
+    runs = {}
+    for prefix, order in (("enc_fwd", range(l)), ("enc_bwd", range(l - 1, -1, -1))):
+        parts = [T.add(T.matvec(tv[f"{prefix}.W{g}"], emb), tv[f"{prefix}.b{g}"]) for g in GATES]
+        h, states = zeros, [None] * l
+        for t in order:
+            h_new = _gru_step(tv, prefix, _step(parts, t), h)
+            h = h_new if mask[:, t].all() else T.blend(mask[:, t, None], h_new, h)
+            states[t] = h
+        runs[prefix] = T.stack(states, axis=1)
+    fwd, bwd = runs["enc_fwd"], runs["enc_bwd"]
+    first_bwd = T.take(bwd, np.s_[:, 0])
+    return EncoderStates(T.concat([fwd, bwd]), T.concat([bwd, fwd]), first_bwd, mask)
 
 
 def attention_projection(enc, tv):
-    """Per-sentence precomputation: encoder states through the attention net."""
+    """Per-batch precomputation: encoder states through the attention net."""
     return T.matmul(enc.h_mat, tv["attn.Wh"])
 
 
-def attend(s_prev, enc, y_prev_emb, tv, h_proj=None):
-    """Two-layer feed-forward attention over source positions; returns the
-    (l,) attention probabilities."""
+def attend(s_prev, enc, y_att, tv, h_proj=None):
+    """Two-layer feed-forward attention over source positions; ``y_att`` is
+    this step's attn.Wy y_prev + attn.b. Returns the (B, L) attention
+    probabilities, exactly 0 at padded positions."""
     if h_proj is None:
         h_proj = attention_projection(enc, tv)
-    base = T.matvec(tv["attn.Ws"], s_prev) + T.matvec(tv["attn.Wy"], y_prev_emb) + tv["attn.b"]
-    hidden = T.tanh(T.add_rowvec(h_proj, base))
-    return T.softmax(T.matvec(hidden, tv["attn.v"]))
+    base = T.add(T.matvec(tv["attn.Ws"], s_prev), y_att)
+    return T.softmax(T.additive_scores(h_proj, base, tv["attn.v"]), enc.mask)
 
 
 def initial_state(enc, tv):
     """tanh projection of the backward encoder state at position 1."""
-    return T.tanh(T.matvec(tv["init.W"], enc.bwd[0]))
+    return T.tanh(T.matvec(tv["init.W"], enc.first_bwd))
 
 
 def attention_context(alpha, enc):
     """Attention-weighted sum of encoder states, backward half first."""
-    return T.concat([T.vecmat(alpha, enc.bwd_mat), T.vecmat(alpha, enc.fwd_mat)])
+    return T.vecmat(alpha, enc.ctx_mat)
 
 
-def decode_step(s_prev, y_prev_emb, enc, tv, h_proj=None):
-    """One decoder step; returns (s_t, o_t, attention), where o_t is the
-    output-layer state that ``output_log_probs`` maps to the vocabulary."""
-    alpha = attend(s_prev, enc, y_prev_emb, tv, h_proj)
+def target_projections(y, tv):
+    """The decoder's products with its previous-target embeddings ``y``
+    (..., E), over all positions at once: attn.Wy y + attn.b, then
+    dec.W_g[:, :E] y + dec.b_g per gate. ``decode_step`` takes one step's
+    slice of each."""
+    e = y.data.shape[-1]
+    parts = [T.add(T.matvec(tv["attn.Wy"], y), tv["attn.b"])]
+    for g in GATES:
+        w_y = T.take(tv[f"dec.W{g}"], np.s_[:, :e])
+        parts.append(T.add(T.matvec(w_y, y), tv[f"dec.b{g}"]))
+    return parts
+
+
+def context_weights(tv):
+    """The context columns dec.W_g[:, E:] of the decoder's input weights."""
+    e = tv["bos_emb"].data.shape[0]
+    return [T.take(tv[f"dec.W{g}"], np.s_[:, e:]) for g in GATES]
+
+
+def decode_step(s_prev, y_parts, enc, tv, h_proj=None, ctx_w=None):
+    """One decoder step over a batch: ``y_parts`` is this step's slice of
+    ``target_projections``. Returns (s_t, attention)."""
+    y_att, *y_gates = y_parts
+    if ctx_w is None:
+        ctx_w = context_weights(tv)
+    alpha = attend(s_prev, enc, y_att, tv, h_proj)
     context = attention_context(alpha, enc)
-    s_t = _gru_step(tv, "dec", T.concat([y_prev_emb, context]), s_prev)
-    o_t = T.tanh(T.matvec(tv["out.W1"], T.concat([s_t, y_prev_emb])) + tv["out.b1"])
-    return s_t, o_t, alpha
+    return _gru_step(tv, "dec", y_gates, s_prev, context, ctx_w), alpha
+
+
+def output_states(s, y, tv):
+    """Output-layer states tanh(out.W1 [s; y] + out.b1), one product over
+    all positions of s (..., hidden) and y (..., E)."""
+    return T.tanh(T.add(T.matvec(tv["out.W1"], T.concat([s, y])), tv["out.b1"]))
 
 
 def output_log_probs(o, tv):
-    """Target-vocabulary log-probabilities from output-layer states: (V,)
-    for one state of shape (out,), (m, V) for m states stacked as rows, which
-    costs one matrix product for the whole sentence."""
-    if o.data.ndim == 1:
-        return T.log_softmax(T.matvec(tv["out.W2"], o))
-    return T.log_softmax(T.matmul(o, T.transpose(tv["out.W2"])))
+    """Target-vocabulary log-probabilities of output-layer states (..., out)
+    -> (..., V); greedy decoding takes its argmax per row."""
+    return T.log_softmax(T.matvec(tv["out.W2"], o))
 
 
-def forward_teacher_forced(params, pair):
-    """Run the full model on one pair, feeding reference target tokens.
+def decoder_inputs(tv, tgt_ids):
+    """Previous-target embeddings (B, M, E) for teacher forcing: the learned
+    begin-of-sentence embedding, then the embeddings of tgt_ids[:, :-1]."""
+    bos = tv["bos_emb"]
+    first = T.add(T.const(np.zeros((len(tgt_ids), 1, bos.data.shape[0])), bos.data.dtype), bos)
+    return T.concat([first, T.embed(tv["tgt_emb"], np.asarray(tgt_ids)[:, :-1])], axis=1)
 
-    The first decoder input is a learned begin-of-sentence embedding. Each
-    embedding table is gathered once, and the output projection runs once
-    over the stacked decoder outputs. Deterministic; records on a fresh tape.
-    """
-    dtype = next(iter(params.tensors.values())).dtype
-    tape = T.Tape(dtype)
-    tv = bind(params, tape)
-    enc = encode(pair.src_ids, tv, params.dims, dtype)
+
+def teacher_forced(tv, dims, batch, with_log_probs=True):
+    """The forward pass over a padded Batch; returns (log_probs, attention),
+    log_probs (B, M) being None without ``with_log_probs``. The output layer
+    runs once after the time loop, over the stacked decoder states."""
+    enc = encode(batch.src_ids, tv, dims, batch.src_mask)
     h_proj = attention_projection(enc, tv)
-
+    y = decoder_inputs(tv, batch.tgt_ids)
+    parts = target_projections(y, tv)
+    ctx_w = context_weights(tv)
     s = initial_state(enc, tv)
-    prev_emb = T.embed(tv["tgt_emb"], pair.tgt_ids[:-1])
-    inputs = [tv["bos_emb"]] + [T.row(prev_emb, t) for t in range(pair.tgt_len - 1)]
-    outputs, alphas = [], []
-    for y_prev_emb in inputs:
-        s, o, alpha = decode_step(s, y_prev_emb, enc, tv, h_proj)
-        outputs.append(o)
+    states, alphas = [], []
+    for t in range(batch.tgt_ids.shape[1]):
+        s, alpha = decode_step(s, _step(parts, t), enc, tv, h_proj, ctx_w)
+        states.append(s)
         alphas.append(alpha)
-    log_probs = T.pick(output_log_probs(T.stack_rows(outputs), tv), pair.tgt_ids)
-    return DecoderTrace(log_probs, T.stack_rows(alphas), tape, tv)
+    attention = T.stack(alphas, axis=1)
+    if not with_log_probs:
+        return None, attention
+    o = output_states(T.stack(states, axis=1), y, tv)
+    log_probs = T.pick_log_softmax(o, tv["out.W2"], batch.tgt_ids, batch.tgt_mask.sum(axis=1))
+    return log_probs, attention
 
 
-def greedy_step_inputs(params, src_ids):
-    """Encoder pass shared by greedy decoding, on untracked parameters;
-    returns (tv, enc, h_proj) and records no tape."""
-    dtype = next(iter(params.tensors.values())).dtype
-    tv = {name: T.Tensor(arr) for name, arr in params.tensors.items()}
-    enc = encode(src_ids, tv, params.dims, dtype)
+def forward_teacher_forced(params, batch):
+    """Run the model on a Batch, or on one SentencePair as a batch of one,
+    feeding reference target tokens; records on a fresh tape.
+
+    The first decoder input is a learned begin-of-sentence embedding. For
+    one pair the trace holds that sentence's (m,) log-probs and (m, l)
+    attention matrix. Deterministic.
+    """
+    single = isinstance(batch, SentencePair)
+    if single:
+        batch = make_batch([batch])
+    tape = T.Tape(next(iter(params.tensors.values())).dtype)
+    tv = bind(params, tape)
+    log_probs, attention = teacher_forced(tv, params.dims, batch)
+    if single:
+        return DecoderTrace(T.take(log_probs, 0), T.take(attention, 0), tape, tv, None, None)
+    return DecoderTrace(log_probs, attention, tape, tv,
+                        batch.src_mask.sum(axis=1), batch.tgt_mask.sum(axis=1))
+
+
+def greedy_step_inputs(params, sources):
+    """Encoder pass shared by greedy decoding over a list of source id
+    lists, on untracked parameters; returns (tv, enc, h_proj) and records no
+    tape."""
+    tv = bind(params)
+    src_ids, mask = pad(sources)
+    enc = encode(src_ids, tv, params.dims, mask)
     return tv, enc, attention_projection(enc, tv)
 
 

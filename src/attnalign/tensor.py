@@ -2,14 +2,26 @@
 
 Values are numpy arrays. A Tape records primitive operations in execution
 order (define-by-run, rebuilt per forward pass); ``backward`` walks the tape
-in reverse and accumulates adjoints. Only the primitives needed by the
+in reverse and accumulates adjoints. Primitives act on whole batches: binary
+elementwise ones broadcast like numpy (their VJPs sum each adjoint back to
+its operand's shape), and products and reductions act on the last axes, so
+one node serves every sentence of a batch. Only the primitives needed by the
 encoder-decoder model are provided:
 
-- elementwise: add, sub, neg, mul, scale, tanh, sigmoid, square, sqrt;
-- products: matvec, vecmat, matmul, transpose, add_rowvec;
-- assembly and indexing: concat, stack_rows, row, embed (gather rows of a
-  table, scattered back once in the VJP), pick (one entry per row);
-- reductions: sumall, softmax (1-D), log_softmax (1-D or row-wise 2-D).
+- elementwise: add, sub, neg, mul, scale, tanh, sigmoid, square, sqrt, and
+  blend (a mask-selected carry);
+- products: matvec (W applied along the last axis), vecmat (batched
+  weighted sum of rows), matmul;
+- assembly and indexing: concat and stack along an axis, take (numpy basic
+  indexing), embed (gather rows of a table by an id array, scattered back
+  once in the VJP);
+- reductions: sumall (over all or the given axes), softmax (last axis,
+  optionally masked), log_softmax (last axis);
+- fused layers whose VJPs recompute their activations instead of keeping
+  them on the tape: gru (one GRU step from precomputed input projections),
+  additive_scores (attention scores) and pick_log_softmax (reference-token
+  log-likelihood under a vocabulary projection, one block of rows at a
+  time).
 """
 
 from __future__ import annotations
@@ -40,9 +52,6 @@ class Tensor:
         self.data = data
         self.tape = tape
         self.node = node
-
-    def __add__(self, other):
-        return add(self, other)
 
     def __repr__(self):
         tracked = "tracked" if self.tape is not None else "const"
@@ -101,22 +110,59 @@ def _record(data, parents):
 # primitives
 
 
+def _shared_vjps(compute, *parents):
+    """(parent, vjp) pairs for a primitive whose adjoints come from one
+    computation: ``compute(g)`` returns every parent's adjoint. The first
+    VJP that runs computes them all and each hands out its own, so the work
+    runs once per backward pass and nothing stays cached after it."""
+    tracked = [k for k, p in enumerate(parents) if p.tape is not None]
+    pending = {}
+
+    def vjp_of(k):
+        def vjp(g):
+            if not pending:
+                grads = compute(g)
+                pending.update((j, grads[j]) for j in tracked)
+            return pending.pop(k)
+
+        return vjp
+
+    return [(p, vjp_of(k)) for k, p in enumerate(parents)]
+
+
+def _unbroadcast(g, shape):
+    """Sum an adjoint over the axes along which an operand of ``shape`` was
+    broadcast, so it has that operand's shape."""
+    if g.shape == shape:
+        return g
+    lead = g.ndim - len(shape)
+    axes = tuple(range(lead)) + tuple(
+        lead + k for k, n in enumerate(shape) if n == 1 and g.shape[lead + k] != 1
+    )
+    return np.asarray(g.sum(axis=axes)).reshape(shape)
+
+
+def _broadcast(op, fn, a, b):
+    try:
+        return fn(a.data, b.data)
+    except ValueError:
+        _check_shapes(op, a.data.shape, b.data.shape)
+
+
 def add(a, b):
     b = _as_tensor(b, a)
-    if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
-        _check_shapes("add", a.data.shape, b.data.shape)
-    out = a.data + b.data
-    return _record(out, [(a, lambda g: g), (b, lambda g: g)])
+    out = _broadcast("add", np.add, a, b)
+    sa, sb = a.data.shape, b.data.shape
+    return _record(out, [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))])
 
 
 def sub(a, b):
     """a - b; either side may be a python float."""
     a = _as_tensor(a, b)
     b = _as_tensor(b, a)
-    if a.data.shape != b.data.shape and a.data.ndim and b.data.ndim:
-        _check_shapes("sub", a.data.shape, b.data.shape)
-    out = a.data - b.data
-    return _record(out, [(a, lambda g: g), (b, lambda g: -g)])
+    out = _broadcast("sub", np.subtract, a, b)
+    sa, sb = a.data.shape, b.data.shape
+    return _record(out, [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb))])
 
 
 def neg(a):
@@ -125,9 +171,10 @@ def neg(a):
 
 def mul(a, b):
     b = _as_tensor(b, a)
-    out = a.data * b.data
+    out = _broadcast("mul", np.multiply, a, b)
     ad, bd = a.data, b.data
-    return _record(out, [(a, lambda g: g * bd), (b, lambda g: g * ad)])
+    return _record(out, [(a, lambda g: _unbroadcast(g * bd, ad.shape)),
+                         (b, lambda g: _unbroadcast(g * ad, bd.shape))])
 
 
 def scale(a, c):
@@ -136,73 +183,102 @@ def scale(a, c):
     return _record(a.data * c, [(a, lambda g: g * c)])
 
 
+def blend(mask, new, prev):
+    """``new`` where ``mask`` is nonzero and ``prev`` elsewhere: the carry
+    ``m*new + (1-m)*prev`` of a recurrent state past the end of a padded
+    sequence. ``mask`` is a constant array broadcast against the states;
+    the VJP keeps only the mask."""
+    keep = np.asarray(mask, dtype=bool)
+    out = np.where(keep, new.data, prev.data)
+    return _record(out, [(new, lambda g: np.where(keep, g, 0)),
+                         (prev, lambda g: np.where(keep, 0, g))])
+
+
 def matvec(w, x):
-    """(M, N) @ (N,) -> (M,)."""
-    if w.data.ndim != 2 or x.data.ndim != 1 or w.data.shape[1] != x.data.shape[0]:
+    """W applied to every vector along the last axis: (M, N) and (..., N)
+    -> (..., M), as one product for the whole batch."""
+    if w.data.ndim != 2 or x.data.ndim < 1 or w.data.shape[1] != x.data.shape[-1]:
         _check_shapes("matvec", w.data.shape, x.data.shape)
-    out = w.data @ x.data
     wd, xd = w.data, x.data
-    return _record(out, [(w, lambda g: np.outer(g, xd)), (x, lambda g: wd.T @ g)])
+    out = xd @ wd.T
+
+    def w_vjp(g):
+        return g.reshape(-1, g.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
+
+    return _record(out, [(w, w_vjp), (x, lambda g: g @ wd)])
 
 
 def vecmat(v, m):
-    """(L,) @ (L, D) -> (D,); the weighted sum of the rows of m."""
-    if v.data.ndim != 1 or m.data.ndim != 2 or v.data.shape[0] != m.data.shape[0]:
+    """Weighted sums of rows: (..., L) and (..., L, D) -> (..., D), the
+    row v[k] @ m[k] for every leading index k."""
+    if v.data.ndim < 1 or m.data.ndim != v.data.ndim + 1 or m.data.shape[:-1] != v.data.shape:
         _check_shapes("vecmat", v.data.shape, m.data.shape)
-    out = v.data @ m.data
     vd, md = v.data, m.data
-    return _record(out, [(v, lambda g: md @ g), (m, lambda g: np.outer(vd, g))])
+    out = (vd[..., None, :] @ md)[..., 0, :]
+    return _record(out, [(v, lambda g: (md @ g[..., :, None])[..., 0]),
+                         (m, lambda g: vd[..., :, None] * g[..., None, :])])
 
 
 def matmul(a, b):
-    """(M, K) @ (K, N) -> (M, N)."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
+    """(..., K) @ (K, N) -> (..., N)."""
+    if a.data.ndim < 2 or b.data.ndim != 2 or a.data.shape[-1] != b.data.shape[0]:
         _check_shapes("matmul", a.data.shape, b.data.shape)
-    out = a.data @ b.data
     ad, bd = a.data, b.data
-    return _record(out, [(a, lambda g: g @ bd.T), (b, lambda g: ad.T @ g)])
+    out = ad @ bd
+
+    def b_vjp(g):
+        return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+    return _record(out, [(a, lambda g: g @ bd.T), (b, b_vjp)])
 
 
-def transpose(m):
-    """The transpose of a 2-D tensor (a view, no copy)."""
-    if m.data.ndim != 2:
-        _check_shapes("transpose", m.data.shape, "(m, n)")
-    return _record(m.data.T, [(m, lambda g: g.T)])
+def _along(axis, ndim, start, stop):
+    return (slice(None),) * (axis % ndim) + (slice(start, stop),)
 
 
-def add_rowvec(m, v):
-    """Add a row vector to every row of a matrix."""
-    if m.data.ndim != 2 or v.data.ndim != 1 or m.data.shape[1] != v.data.shape[0]:
-        _check_shapes("add_rowvec", m.data.shape, v.data.shape)
-    out = m.data + v.data
-    return _record(out, [(m, lambda g: g), (v, lambda g: g.sum(axis=0))])
-
-
-def concat(parts):
-    """Concatenate 1-D tensors."""
+def concat(parts, axis=-1):
+    """Concatenate tensors along an axis."""
     parts = list(parts)
-    out = np.concatenate([p.data for p in parts])
+    out = np.concatenate([p.data for p in parts], axis=axis)
     parents = []
     off = 0
     for p in parts:
-        n = p.data.shape[0]
-        start = off
-
-        def vjp(g, s=start, e=off + n):
-            return g[s:e]
-
-        parents.append((p, vjp))
+        n = p.data.shape[axis]
+        idx = _along(axis, out.ndim, off, off + n)
+        parents.append((p, lambda g, idx=idx: g[idx]))
         off += n
     return _record(out, parents)
 
 
+def stack(parts, axis=0):
+    """Stack tensors of one shape along a new axis."""
+    parts = list(parts)
+    out = np.stack([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+    return _record(out, [(p, lambda g, k=k: g[lead + (k,)]) for k, p in enumerate(parts)])
+
+
+def take(x, key):
+    """``x[key]`` for a basic numpy index (an int, a slice or a tuple of
+    them), such as one time step ``np.s_[:, t]`` of a batch."""
+    out = x.data[key]
+    shp = x.data.shape
+
+    def vjp(g):
+        full = np.zeros(shp, dtype=g.dtype)
+        full[key] = g
+        return full
+
+    return _record(out, [(x, vjp)])
+
+
 def embed(table, ids):
-    """Rows ``ids`` of a 2-D table, gathered into one (len(ids), E) tensor.
+    """Rows ``ids`` of a 2-D table: an id array of any shape gives an
+    ``ids.shape + (E,)`` tensor.
 
     The VJP scatters the row gradients into a single table-shaped array.
-    Repeated ids are summed last position first, the order in which
-    backward reaches one lookup per position, so the table's gradient is
-    bit-identical to per-position lookups.
+    Repeated ids are summed last position first (in row-major order), the
+    order in which backward reaches one lookup per position.
     """
     ids = np.asarray(ids, dtype=np.intp)
     out = table.data[ids]
@@ -210,49 +286,58 @@ def embed(table, ids):
 
     def vjp(g):
         full = np.zeros(shp, dtype=g.dtype)
-        np.add.at(full, ids[::-1], g[::-1])
+        np.add.at(full, ids.reshape(-1)[::-1], g.reshape(-1, shp[1])[::-1])
         return full
 
     return _record(out, [(table, vjp)])
 
 
-def row(x, i):
-    """Row i of a 2-D tensor (splits a gathered embedding matrix into
-    per-position inputs)."""
-    out = x.data[i]
-    shp = x.data.shape
+def gru(x, h_prev, u, ctx=None, w_ctx=None):
+    """One GRU step: ``x`` holds the input's gate pre-activations
+    (x_z, x_r, x_c), each W_g input + b_g, and ``u`` the recurrent weights
+    (U_z, U_r, U_c). An optional second input ``ctx`` adds W'_g ctx to each
+    gate, with ``w_ctx`` = (W'_z, W'_r, W'_c). With z = sigmoid(x_z + U_z h),
+    r = sigmoid(x_r + U_r h) and c = tanh(x_c + U_c (r * h)), returns
+    (1 - z) * h + z * c.
 
-    def vjp(g):
-        full = np.zeros(shp, dtype=g.dtype)
-        full[i] = g
-        return full
+    The VJP recomputes the gates from its inputs, so the tape keeps only
+    the new state.
+    """
+    hd = h_prev.data
+    extra = [] if ctx is None else [ctx, *w_ctx]
 
-    return _record(out, [(x, vjp)])
+    def gates():
+        pre = [xg.data + hd @ ug.data.T for xg, ug in zip(x[:2], u[:2])]
+        if ctx is not None:
+            pre = [p + ctx.data @ w.data.T for p, w in zip(pre, w_ctx)]
+        z, r = (1.0 / (1.0 + np.exp(-p)) for p in pre)
+        rh = r * hd
+        pre_c = x[2].data + rh @ u[2].data.T
+        if ctx is not None:
+            pre_c = pre_c + ctx.data @ w_ctx[2].data.T
+        return z, r, rh, np.tanh(pre_c)
 
+    z, _, _, c = gates()
+    out = (1.0 - z) * hd + z * c
 
-def pick(x, ids):
-    """Entry ids[k] of every row k of a 2-D tensor, as a (rows,) tensor."""
-    ids = np.asarray(ids, dtype=np.intp)
-    if x.data.ndim != 2 or ids.shape != x.data.shape[:1]:
-        _check_shapes("pick", x.data.shape, ids.shape)
-    rows = np.arange(len(ids))
-    out = x.data[rows, ids]
-    shp = x.data.shape
+    def outer(g, v):
+        return g.reshape(-1, g.shape[-1]).T @ v.reshape(-1, v.shape[-1])
 
-    def vjp(g):
-        full = np.zeros(shp, dtype=g.dtype)
-        full[rows, ids] = g
-        return full
+    def compute(g):
+        z, r, rh, c = gates()
+        dz = (g * (c - hd)) * z * (1.0 - z)
+        dc = (g * z) * (1.0 - c * c)
+        drh = dc @ u[2].data
+        dr = (drh * hd) * r * (1.0 - r)
+        dh = g * (1.0 - z) + drh * r + dr @ u[1].data + dz @ u[0].data
+        grads = [dz, dr, dc, dh, outer(dz, hd), outer(dr, hd), outer(dc, rh)]
+        if ctx is not None:
+            d_pre = (dz, dr, dc)
+            grads.append(sum(d @ w.data for d, w in zip(d_pre, w_ctx)))
+            grads += [outer(d, ctx.data) for d in d_pre]
+        return grads
 
-    return _record(out, [(x, vjp)])
-
-
-def stack_rows(rows):
-    """Stack 1-D tensors of equal length into a 2-D tensor."""
-    rows = list(rows)
-    out = np.stack([r.data for r in rows])
-    parents = [(r, (lambda g, k=k: g[k])) for k, r in enumerate(rows)]
-    return _record(out, parents)
+    return _record(out, _shared_vjps(compute, *x, h_prev, *u, *extra))
 
 
 def tanh(x):
@@ -277,48 +362,98 @@ def sqrt(x):
     return _record(out, [(x, lambda g: g * 0.5 / np.sqrt(xd + SQRT_BACKWARD_EPS))])
 
 
-def sumall(x):
-    out = np.asarray(x.data.sum())
+def sumall(x, axis=None):
+    """Sum over all axes, or over the given ones."""
+    out = np.asarray(x.data.sum(axis=axis))
     shp = x.data.shape
 
     def vjp(g):
+        if axis is not None:
+            g = np.expand_dims(g, axis)
         return np.broadcast_to(g, shp).copy() if shp else g
 
     return _record(out, [(x, vjp)])
 
 
-def softmax(x):
-    """Stable softmax over a 1-D tensor (max-subtraction)."""
-    if x.data.ndim != 1:
-        _check_shapes("softmax", x.data.shape, "(n,)")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    out = e / e.sum()
+def softmax(x, mask=None):
+    """Stable softmax over the last axis. Where ``mask`` (a constant array
+    of x's shape) is 0 the output is exactly 0, and so is its gradient."""
+    xd = x.data if mask is None else np.where(mask, x.data, -np.inf)
+    e = np.exp(xd - xd.max(axis=-1, keepdims=True))
+    out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return out * (g - g @ out)
+        return out * (g - (g * out).sum(axis=-1, keepdims=True))
 
     return _record(out, [(x, vjp)])
 
 
 def log_softmax(x):
-    """Stable log-softmax over a 1-D tensor, or over each row of a 2-D one."""
-    if x.data.ndim == 1:
-        # no keepdims here: greedy decoding runs this once per emitted token
-        z = x.data - x.data.max()
-        lse = np.log(np.exp(z).sum())
-    elif x.data.ndim == 2:
-        z = x.data - x.data.max(axis=1, keepdims=True)
-        lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    else:
-        _check_shapes("log_softmax", x.data.shape, "(n,) or (m, n)")
-    out = z - lse
-    probs = np.exp(out)
+    """Stable log-softmax over the last axis."""
+    z = x.data - x.data.max(axis=-1, keepdims=True)
+    out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def vjp(g):
-        return g - probs * g.sum(axis=-1, keepdims=True)
+        return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
 
     return _record(out, [(x, vjp)])
+
+
+def additive_scores(h_proj, base, v):
+    """``tanh(h_proj + base[..., None, :]) @ v``: (..., L, A), (..., A), (A,)
+    -> (..., L), the scores of a feed-forward attention layer. The VJP
+    recomputes the tanh rather than keep an (..., L, A) array per call."""
+    hd, bd, vd = h_proj.data, base.data, v.data
+    if hd.shape[-1] != bd.shape[-1] or vd.shape != hd.shape[-1:]:
+        _check_shapes("additive_scores", hd.shape, bd.shape)
+    out = np.tanh(hd + bd[..., None, :]) @ vd
+
+    def compute(g):
+        t = np.tanh(hd + bd[..., None, :])
+        d = (g[..., None] * vd) * (1.0 - t * t)
+        gv = np.tensordot(g, t, axes=g.ndim)
+        return d, _unbroadcast(d.sum(axis=-2), bd.shape), gv
+
+    return _record(out, _shared_vjps(compute, h_proj, base, v))
+
+
+def pick_log_softmax(h, w, ids, lengths):
+    """``log_softmax(h[k, t] @ w.T)[ids[k, t]]`` for the first ``lengths[k]``
+    rows t of every block k: (B, M, D), (V, D) and (B, M) ids -> (B, M), 0
+    past each block's length.
+
+    It works one block at a time and keeps only each row's max and
+    log-sum-exp; the VJP recomputes a block's logits, so no (B*M, V) array
+    is ever held and padded rows cost nothing.
+    """
+    hd, wd = h.data, w.data
+    ids = np.asarray(ids, dtype=np.intp)
+    if hd.ndim != 3 or wd.ndim != 2 or ids.shape != hd.shape[:2] or hd.shape[2] != wd.shape[1]:
+        _check_shapes("pick_log_softmax", hd.shape, ids.shape)
+    lengths = [int(n) for n in lengths]
+    out = np.zeros(ids.shape, dtype=hd.dtype)
+    top = np.zeros(ids.shape, dtype=hd.dtype)
+    lse = np.zeros(ids.shape, dtype=hd.dtype)
+    for k, n in enumerate(lengths):
+        logits = hd[k, :n] @ wd.T
+        top[k, :n] = logits.max(axis=1)
+        z = logits - top[k, :n, None]
+        lse[k, :n] = np.log(np.exp(z).sum(axis=1))
+        out[k, :n] = z[np.arange(n), ids[k, :n]] - lse[k, :n]
+
+    def compute(g):
+        gh = np.zeros_like(hd)
+        gw = np.zeros_like(wd)
+        for k, n in enumerate(lengths):
+            rows = hd[k, :n]
+            probs = np.exp((rows @ wd.T - top[k, :n, None]) - lse[k, :n, None])
+            d = -probs * g[k, :n, None]
+            d[np.arange(n), ids[k, :n]] += g[k, :n]
+            gh[k, :n] = d @ wd
+            gw += d.T @ rows
+        return gh, gw
+
+    return _record(out, _shared_vjps(compute, h, w))
 
 
 # ---------------------------------------------------------------------------
@@ -330,8 +465,9 @@ def backward(tape, loss):
 
     Returns a list indexed by node id: each leaf (``Tape.var``) the loss
     depends on holds its adjoint, every other entry is None. An interior
-    node's adjoint is released as soon as its VJPs have run, so memory
-    holds only the adjoints still being summed.
+    node's adjoint is released as soon as its VJPs have run, and so are the
+    VJPs themselves with the activations they hold, so memory holds only what
+    is still needed and a tape supports one backward pass.
 
     Repeated contributions are added in place, but only into arrays that
     backward allocated itself: an array a VJP returned may be shared (the
@@ -344,12 +480,16 @@ def backward(tape, loss):
     if loss.data.shape != ():
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.data.shape}")
     nodes = tape._nodes
+    if nodes[loss.node] is None:
+        raise ValueError("backward: an earlier pass already released this tape")
     adjoints = [None] * len(nodes)
     owned = set()  # ids whose adjoint array backward allocated
     adjoints[loss.node] = np.asarray(1.0, dtype=loss.data.dtype)
     for nid in range(loss.node, -1, -1):
         a = adjoints[nid]
         parents = nodes[nid]
+        if parents:
+            nodes[nid] = None
         if a is None or not parents:
             continue
         adjoints[nid] = None

@@ -106,11 +106,13 @@ def parse_schedule(text, total_epochs=10):
 
 
 def sentence_loss(trace, sup, kind, align_weight=1.0):
-    """Scalar loss Tensor for one sentence.
+    """Scalar loss Tensor, summed over the trace's sentences.
 
     TRANS: negative sum of reference log-probabilities. ALIGN: weighted
-    attention distance. JOINT: their sum. With weight 0, JOINT skips the
-    alignment term entirely and is bit-identical to TRANS.
+    attention distance, one per sentence. JOINT: their sum. With weight 0,
+    JOINT skips the alignment term entirely and is bit-identical to TRANS.
+    ``sup`` is a one-pair trace's supervision matrix, or a batch trace's
+    list of them.
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"unknown objective {kind!r}")
@@ -122,7 +124,7 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
         return T.neg(T.sumall(trace.log_probs))
 
     def alignment_term():
-        return T.scale(attention_distance(trace.attention, sup), align_weight)
+        return T.scale(T.sumall(_distances(trace, sup)), align_weight)
 
     if kind == TRANSLATION:
         return translation_term()
@@ -133,10 +135,37 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
     return T.add(translation_term(), alignment_term())
 
 
+def _distances(trace, sup):
+    """Attention distances as a Tensor: one for a one-pair trace, (B,) for a
+    batch, each over its sentence's real (target, source) cells only."""
+    if trace.tgt_lens is None:
+        return attention_distance(trace.attention, sup)
+    target = np.zeros(trace.attention.data.shape, dtype=trace.attention.data.dtype)
+    mask = np.zeros_like(target)
+    for k, (m, l) in enumerate(zip(trace.tgt_lens, trace.src_lens)):
+        if np.shape(sup[k]) != (m, l):
+            raise T.ShapeError(
+                f"attention_distance: shapes {(m, l)} and {np.shape(sup[k])} differ"
+            )
+        target[k, :m, :l] = sup[k]
+        mask[k, :m, :l] = 1.0
+    return attention_distance(trace.attention, target, mask)
+
+
 def sentence_loss_parts(trace, sup):
-    """(translation nll, alignment distance) as plain floats, for logging."""
-    nll = -sum(trace.log_probs.data.tolist())
-    dist = attention_distance(trace.attention.data, sup) if sup is not None else 0.0
+    """(translation nll, alignment distance) summed over the trace's
+    sentences in order, as plain floats, for logging."""
+    if trace.tgt_lens is None:
+        lp, attn = [trace.log_probs.data], [trace.attention.data]
+        sup = None if sup is None else [sup]
+    else:
+        lp = [trace.log_probs.data[k, :m] for k, m in enumerate(trace.tgt_lens)]
+        attn = [trace.attention.data[k, :m, :l]
+                for k, (m, l) in enumerate(zip(trace.tgt_lens, trace.src_lens))]
+    nll = dist = 0.0
+    for k in range(len(lp)):
+        nll += -sum(lp[k].tolist())
+        dist += attention_distance(attn[k], sup[k]) if sup is not None else 0.0
     return nll, dist
 
 
@@ -227,30 +256,22 @@ class PhaseReport:
 
 
 def batch_step(params, batch, phase, config, state, trainable):
-    """Forward/backward every sentence in a batch, then one AdaDelta update.
+    """Forward and backward over the whole batch on one tape, then one
+    AdaDelta update.
 
     Batch loss is the mean of per-sentence losses; returns summed
     (translation nll, alignment distance) for logging.
     """
-    grads = {n: np.zeros_like(params.tensors[n]) for n in trainable}
-    sum_nll = 0.0
-    sum_dist = 0.0
-    for k, pair in enumerate(batch.pairs):
-        sup = batch.supervision[k] if batch.supervision is not None else None
-        trace = forward_teacher_forced(params, pair)
-        loss = sentence_loss(trace, sup, phase.objective, config.align_weight)
-        g = T.gradients(trace.tape, loss, {n: trace.leaves[n] for n in trainable})
-        for n in trainable:
-            grads[n] += g[n]
-        nll, dist = sentence_loss_parts(trace, sup)
-        sum_nll += nll
-        sum_dist += dist
+    trace = forward_teacher_forced(params, batch)
+    loss = sentence_loss(trace, batch.supervision, phase.objective, config.align_weight)
+    g = T.gradients(trace.tape, loss, {n: trace.leaves[n] for n in trainable})
+    # scaled into new arrays (leaf adjoints may share memory), releasing each
+    # adjoint as soon as it is scaled
     inv = 1.0 / len(batch.pairs)
-    for n in trainable:
-        grads[n] *= inv
+    grads = {n: g.pop(n) * inv for n in trainable}
     clip_gradients(grads, trainable, config.clip_norm)
     adadelta_update(params, grads, state, trainable, config.rho, config.eps)
-    return sum_nll, sum_dist
+    return sentence_loss_parts(trace, batch.supervision)
 
 
 def train_phase(params, pairs, supervision, phase, config, epoch_offset=0, log_fh=None):

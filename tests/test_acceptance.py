@@ -25,7 +25,7 @@ from attnalign.evaluation import (
     alignment_f1,
     bleu,
     corpus_alignment_f1,
-    dump_attention,
+    dump_attention_all,
     extract_alignment,
 )
 from attnalign.model import (
@@ -120,20 +120,21 @@ def test_criterion_2_transform_invariants():
 
 def _joint_objective(leaves, dims, pair, sup, lam):
     """Joint loss rebuilt from the given leaf tensors (for gradient checking)."""
-    enc = M.encode(pair.src_ids, leaves, dims)
+    enc = M.encode([pair.src_ids], leaves, dims)
     h_proj = M.attention_projection(enc, leaves)
     s = M.initial_state(enc, leaves)
-    y_prev = leaves["bos_emb"]
+    y_prev = T.take(leaves["bos_emb"], np.s_[None])
     outputs = []
     alphas = []
     for y_t in pair.tgt_ids:
-        s, o, alpha = M.decode_step(s, y_prev, enc, leaves, h_proj)
-        outputs.append(o)
-        alphas.append(alpha)
-        y_prev = T.row(leaves["tgt_emb"], y_t)
-    lp = M.output_log_probs(T.stack_rows(outputs), leaves)
-    nll = T.neg(T.sumall(T.pick(lp, pair.tgt_ids)))
-    dist = attention_distance(T.stack_rows(alphas), sup)
+        s, alpha = M.decode_step(s, M.target_projections(y_prev, leaves), enc, leaves, h_proj)
+        outputs.append(M.output_states(s, y_prev, leaves))
+        alphas.append(T.take(alpha, 0))
+        y_prev = T.take(leaves["tgt_emb"], np.s_[y_t : y_t + 1])
+    lp = M.output_log_probs(T.stack(outputs), leaves)
+    onehot = np.eye(dims.tgt_vocab)[pair.tgt_ids][:, None, :]
+    nll = T.neg(T.sumall(T.mul(lp, T.const(onehot))))
+    dist = attention_distance(T.stack(alphas), sup)
     return T.add(nll, T.scale(dist, lam))
 
 
@@ -300,7 +301,7 @@ def trend(tmp_path_factory):
     _, at_reports = train(parse_schedule("A->T", total_epochs=TREND_EPOCHS), 1.0)
 
     def corpus_f1(params):
-        hyp = [extract_alignment(dump_attention(params, p)) for p in pairs]
+        hyp = [extract_alignment(a) for a in dump_attention_all(params, pairs)]
         return corpus_alignment_f1(hyp, gold).f1
 
     return {

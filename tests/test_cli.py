@@ -195,6 +195,24 @@ class TestTrain:
         assert f"{cfg}: missing required key '{key}'" in caplog.text
 
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            ("epochs=abc", "epochs must be int, got 'abc'"),
+            ("lamda=0", "unknown key 'lamda'"),
+            ("hidden=0", "hidden must be >= 1, got '0'"),
+            ("schedule=JOINT:ALL", "malformed phase 'JOINT:ALL' (want OBJ:PART:EPOCHS)"),
+        ],
+    )
+    def test_bad_config_line_names_file_and_line(self, copy_corpus, tmp_path, caplog, line, reason):
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m", extra=line + "\n")
+        n = len(cfg.read_text().splitlines())
+        assert run("train", "--config", str(cfg)) == 2
+        assert f"{cfg}:{n}: {reason}" in caplog.text
+        assert not (tmp_path / "m.ckpt").exists()
+
+
 class TestScoring:
     def test_score_align_identical_is_one(self, tmp_path, capsys):
         f = tmp_path / "links.txt"
@@ -340,6 +358,28 @@ class TestDecodeCommands:
 
         assert len(read_matrices(trained / "gap.attn")) == 5
         assert run("score-align", "--hyp", str(links), "--gold", str(trained / "gap.align")) == 0
+
+    @pytest.mark.parametrize("command", ["translate", "dump-attn"])
+    @pytest.mark.parametrize("side", ["src", "tgt"])
+    @pytest.mark.parametrize("extra", [-1, 5])  # fewer and more entries than the model
+    def test_vocabulary_checkpoint_mismatch_is_one_line_error(
+        self, copy_corpus, trained, caplog, command, side, extra
+    ):
+        good = (trained / f"v.{side}.vocab").read_text().splitlines()
+        words = good[:extra] if extra < 0 else good + [f"extra{k}" for k in range(extra)]
+        bad = trained / f"bad.{side}.vocab"
+        bad.write_text("".join(w + "\n" for w in words))
+        vocabs = {s: str(trained / f"v.{s}.vocab") for s in ("src", "tgt")}
+        vocabs[side] = str(bad)
+        out = trained / "out.txt"
+        args = [command, "--checkpoint", str(trained / "m.ckpt"), "--src-vocab", vocabs["src"],
+                "--tgt-vocab", vocabs["tgt"], "--src", copy_corpus + ".src", "--out", str(out)]
+        if command == "dump-attn":
+            args += ["--tgt", copy_corpus + ".tgt"]
+        assert run(*args) == 2
+        rows = len(good) + 3  # the reserved ids come first
+        assert f"{bad}: vocabulary has {rows + extra} entries, checkpoint expects {rows}" in caplog.text
+        assert not out.exists()
 
 
 def test_parse_config_file(tmp_path):

@@ -231,3 +231,24 @@ class TestDumpAttention:
     def test_text_round_trip(self):
         attn = dump_attention(make_params(4), SentencePair([3, EOS_ID], [5, EOS_ID]))
         assert np.array_equal(parse_matrix(format_matrix(attn)), attn)
+
+
+def test_batched_decoding_equals_one_sentence_runs(monkeypatch):
+    # chunks of 2, so chunking and the return to input order are exercised
+    from attnalign import evaluation
+
+    monkeypatch.setattr(evaluation, "DECODE_CHUNK", 2)
+    p = init_params(ModelDims(src_vocab=7, tgt_vocab=4, embed=4, hidden=4, attn=4, out=4),
+                    seed=0, init_scale=0.8)
+    rng = np.random.default_rng(0)
+    sources = [[int(t) for t in rng.integers(3, 7, size=n)] + [EOS_ID] for n in (5, 1, 3, 6, 2, 4, 1)]
+    hyps = evaluation.greedy_decode_all(p, sources, max_len=6)
+    assert len(hyps) == len(sources)
+    for src, hyp in zip(sources, hyps):
+        one = greedy_decode(p, src, max_len=6)
+        assert hyp.token_ids == one.token_ids
+        np.testing.assert_allclose(hyp.attention, one.attention, rtol=1e-12, atol=1e-15)
+        assert hyp.score == pytest.approx(one.score, rel=1e-12)
+    ends = [h.token_ids[-1] == EOS_ID for h in hyps]
+    assert any(ends) and not all(ends)  # some stop at eos, some at max_len
+    assert all(len(h.token_ids) == 6 for h, e in zip(hyps, ends) if not e)

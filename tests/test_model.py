@@ -123,34 +123,35 @@ class TestEncoder:
     def test_single_token_shape(self):
         p = make_params()
         tape = T.Tape()
-        enc = encode([EOS_ID], M.bind(p, tape), p.dims)
-        assert enc.h_mat.data.shape == (1, 2 * p.dims.hidden)
+        enc = encode([[EOS_ID]], M.bind(p, tape), p.dims)
+        assert enc.h_mat.data.shape == (1, 1, 2 * p.dims.hidden)
 
     def test_zero_weights_give_zero_states(self):
         p = make_params()
         for k in p.tensors:
             p.tensors[k] = np.zeros_like(p.tensors[k])
         tape = T.Tape()
-        enc = encode([3, 4, EOS_ID], M.bind(p, tape), p.dims)
-        np.testing.assert_array_equal(enc.h_mat.data, np.zeros((3, 2 * p.dims.hidden)))
+        enc = encode([[3, 4, EOS_ID]], M.bind(p, tape), p.dims)
+        np.testing.assert_array_equal(enc.h_mat.data, np.zeros((1, 3, 2 * p.dims.hidden)))
 
     def test_direction_symmetry_under_input_reversal(self):
         p = make_params(5)
         src = [3, 4, 5, 6, EOS_ID]
         tape = T.Tape()
-        enc = encode(src, M.bind(p, tape), p.dims)
+        enc = encode([src], M.bind(p, tape), p.dims)
+        h = p.dims.hidden
 
         swapped = p.copy()
         for gate in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc"):
             swapped.tensors[f"enc_fwd.{gate}"] = p.tensors[f"enc_bwd.{gate}"]
             swapped.tensors[f"enc_bwd.{gate}"] = p.tensors[f"enc_fwd.{gate}"]
         tape2 = T.Tape()
-        enc2 = encode(src[::-1], M.bind(swapped, tape2), p.dims)
+        enc2 = encode([src[::-1]], M.bind(swapped, tape2), p.dims)
         # run2's backward chain reads the original order with run1's forward
         # weights, so its states mirror run1's forward states
         for k in range(len(src)):
             np.testing.assert_allclose(
-                enc2.bwd[len(src) - 1 - k].data, enc.fwd[k].data, atol=1e-12
+                enc2.h_mat.data[0, len(src) - 1 - k, h:], enc.h_mat.data[0, k, :h], atol=1e-12
             )
 
 
@@ -159,20 +160,22 @@ class TestAttention:
         p = make_params()
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode([EOS_ID], tv, p.dims)
-        att = attend(tape.var(np.zeros(p.dims.hidden)), enc, tv["bos_emb"], tv)
-        np.testing.assert_array_equal(att.data, [1.0])
+        enc = encode([[EOS_ID]], tv, p.dims)
+        y_att = M.target_projections(tv["bos_emb"], tv)[0]
+        att = attend(tape.var(np.zeros((1, p.dims.hidden))), enc, y_att, tv)
+        np.testing.assert_array_equal(att.data, [[1.0]])
 
     def test_identical_states_give_uniform_attention(self):
         p = make_params()
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode([3, 3, 3], tv, p.dims)
+        enc = encode([[3, 3, 3]], tv, p.dims)
         # identical tokens: forward states differ, so force identical rows
-        h = T.Tensor(np.tile(enc.h_mat.data[:1], (3, 1)))
-        enc_same = M.EncoderStates(enc.fwd, enc.bwd, h, enc.fwd_mat, enc.bwd_mat)
-        att = attend(tape.var(np.zeros(p.dims.hidden)), enc_same, tv["bos_emb"], tv)
-        np.testing.assert_allclose(att.data, np.full(3, 1 / 3))
+        h = T.Tensor(np.tile(enc.h_mat.data[:, :1], (1, 3, 1)))
+        enc_same = M.EncoderStates(h, enc.ctx_mat, enc.first_bwd, enc.mask)
+        y_att = M.target_projections(tv["bos_emb"], tv)[0]
+        att = attend(tape.var(np.zeros((1, p.dims.hidden))), enc_same, y_att, tv)
+        np.testing.assert_allclose(att.data, np.full((1, 3), 1 / 3))
 
     def test_gradient_of_weighted_alpha(self):
         src = [3, 4, EOS_ID]
@@ -180,8 +183,9 @@ class TestAttention:
         base = make_params(2)
 
         def f(leaves):
-            enc = encode(src, leaves, base.dims)
-            att = attend(T.const(np.zeros(base.dims.hidden)), enc, leaves["bos_emb"], leaves)
+            enc = encode([src], leaves, base.dims)
+            y_att = M.target_projections(leaves["bos_emb"], leaves)[0]
+            att = attend(T.const(np.zeros((1, base.dims.hidden))), enc, y_att, leaves)
             return T.sumall(T.mul(att, T.const(weights)))
 
         names = ["attn.Ws", "attn.Wh", "attn.Wy", "attn.b", "attn.v", "bos_emb"]
@@ -199,11 +203,12 @@ class TestAttention:
         p = make_params(7)
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode([3, 4, 5, EOS_ID], tv, p.dims)
-        alpha = T.const(np.array([0.0, 0.0, 1.0, 0.0]))
+        enc = encode([[3, 4, 5, EOS_ID]], tv, p.dims)
+        alpha = T.const(np.array([[0.0, 0.0, 1.0, 0.0]]))
         ctx = attention_context(alpha, enc)
-        expected = np.concatenate([enc.bwd[2].data, enc.fwd[2].data])
-        np.testing.assert_allclose(ctx.data, expected, atol=1e-15)
+        h = p.dims.hidden
+        expected = np.concatenate([enc.h_mat.data[0, 2, h:], enc.h_mat.data[0, 2, :h]])
+        np.testing.assert_allclose(ctx.data[0], expected, atol=1e-15)
 
 
 class TestForward:
@@ -230,27 +235,31 @@ class TestForward:
         # recompute one step's full distribution and check logsumexp == 0
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode(make_pair().src_ids, tv, p.dims)
+        enc = encode([make_pair().src_ids], tv, p.dims)
         s = M.initial_state(enc, tv)
-        _, o, _ = M.decode_step(s, tv["bos_emb"], enc, tv)
-        lp = M.output_log_probs(o, tv)
+        y = T.const(p.tensors["bos_emb"][None])
+        s, _ = M.decode_step(s, M.target_projections(y, tv), enc, tv)
+        lp = M.output_log_probs(M.output_states(s, y, tv), tv)
         assert np.log(np.exp(lp.data).sum()) == pytest.approx(0.0, abs=1e-6)
 
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
     def test_gradients_equal_reference_backward(self, dtype):
         p = init_params(DIMS, seed=4, dtype=dtype, init_scale=0.5)
         pair = SentencePair([3, 5, 3, 3, EOS_ID], [4, 4, 7, 4, EOS_ID])  # repeated ids
+        def loss_of(trace):
+            return T.add(T.neg(T.sumall(trace.log_probs)),
+                         attention_distance(trace.attention, np.full((5, 5), 0.2)))
+
         trace = forward_teacher_forced(p, pair)
-        loss = T.add(T.neg(T.sumall(trace.log_probs)),
-                     attention_distance(trace.attention, np.full((5, 5), 0.2)))
-        grads = T.gradients(trace.tape, loss, trace.leaves)
-        want = reference_backward(trace.tape, loss)
+        grads = T.gradients(trace.tape, loss_of(trace), trace.leaves)
+        again = forward_teacher_forced(p, pair)  # backward released the first tape
+        want = reference_backward(again.tape, loss_of(again))
         for name, leaf in trace.leaves.items():
             assert want[leaf.node] is not None, name
             assert np.array_equal(grads[name], want[leaf.node]), name
 
     def test_greedy_step_inputs_record_no_tape(self):
-        tv, enc, h_proj = M.greedy_step_inputs(make_params(1), make_pair().src_ids)
+        tv, enc, h_proj = M.greedy_step_inputs(make_params(1), [make_pair().src_ids])
         assert all(t.tape is None for t in tv.values())
         assert enc.h_mat.tape is None and h_proj.tape is None
 
@@ -331,3 +340,24 @@ class TestCheckpoint:
         path.write_bytes(fixed)
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+
+def test_padded_batch_matches_numpy_oracle():
+    from attnalign.corpus import make_batch
+
+    p = make_params(12)
+    pairs = [
+        SentencePair([3, 4, 5, 6, EOS_ID], [3, 6, EOS_ID]),
+        SentencePair([5, EOS_ID], [4, 7, 8, 2, 6, EOS_ID]),
+        SentencePair([6, 3, EOS_ID], [EOS_ID]),
+    ]
+    trace = forward_teacher_forced(p, make_batch(pairs))
+    assert trace.attention.data.shape == (3, 6, 5)
+    for k, pair in enumerate(pairs):
+        want_logp, want_attn = oracle_forward(p, pair)
+        m, l = pair.tgt_len, pair.src_len
+        got = trace.log_probs.data[k]
+        assert sum(float(lp) for lp in got[:m]) == pytest.approx(want_logp, rel=1e-12)
+        assert np.all(got[m:] == 0.0)
+        np.testing.assert_allclose(trace.attention.data[k, :m, :l], want_attn, atol=1e-12)
+        assert np.all(trace.attention.data[k, :, l:] == 0.0)

@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,27 @@ def test_three_layer_tanh_network_matches_finite_differences():
 
 # distinct weights per entry, so repeated rows receive different gradients
 W32 = [[1.0, 2.0], [3.0, 4.0], [-0.5, 1.5]]
+W23 = [[1.0, -2.0, 0.5], [3.0, 0.25, -1.5]]
+W232 = [[[1.0, 2.0], [3.0, -4.0], [-0.5, 1.5]], [[0.7, -1.2], [2.5, 0.3], [-2.0, 1.1]]]
+MASK32 = np.array([[1, 0], [0, 0], [1, 0]])
+MASK23 = np.array([[1, 1, 0], [1, 1, 1]])
+
+
+GRU_SHAPES = {"xz": (2, 3), "xr": (2, 3), "xc": (2, 3), "h": (2, 3), "uz": (3, 3), "ur": (3, 3),
+              "uc": (3, 3), "ctx": (2, 2), "wz": (3, 2), "wr": (3, 2), "wc": (3, 2)}
+
+
+def _composed_gru(x, h, u, ctx, w_ctx):
+    """The GRU step written with the elementwise and product primitives."""
+    pre = [T.add(T.add(xg, T.matvec(wg, ctx)), T.matvec(ug, h)) for xg, ug, wg in zip(x[:2], u[:2], w_ctx)]
+    z, r = (T.sigmoid(p) for p in pre)
+    c = T.tanh(T.add(T.add(x[2], T.matvec(w_ctx[2], ctx)), T.matvec(u[2], T.mul(r, h))))
+    return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, c))
+
+
+def _gru_with_context(v, gru):
+    return gru([v["xz"], v["xr"], v["xc"]], v["h"], [v["uz"], v["ur"], v["uc"]],
+               v["ctx"], [v["wz"], v["wr"], v["wc"]])
 
 
 @pytest.mark.parametrize(
@@ -95,19 +118,32 @@ W32 = [[1.0, 2.0], [3.0, 4.0], [-0.5, 1.5]]
         ("log_softmax", lambda v: T.sumall(T.mul(T.log_softmax(v["b"]), T.const([0.5, -1.0, 2.0]))), {"b": (3,)}),
         ("concat", lambda v: T.sumall(T.square(T.concat([v["b"], v["e"]]))), {"b": (3,), "e": (2,)}),
         ("sub_float_left", lambda v: T.sumall(T.square(T.sub(1.0, v["b"]))), {"b": (3,)}),
-        ("stack", lambda v: T.sumall(T.square(T.stack_rows([v["b"], v["g"]]))), {"b": (3,), "g": (3,)}),
+        ("stack", lambda v: T.sumall(T.square(T.stack([v["b"], v["g"]]))), {"b": (3,), "g": (3,)}),
         ("sigmoid", lambda v: T.sumall(T.sigmoid(v["b"])), {"b": (3,)}),
         ("sqrt_sum_square", lambda v: T.sqrt(T.sumall(T.square(v["b"]))), {"b": (3,)}),
         ("embed", lambda v: T.sumall(T.mul(T.square(T.embed(v["c"], [2, 0, 2])), T.const(W32))), {"c": (3, 2)}),
-        ("add_rowvec", lambda v: T.sumall(T.square(T.add_rowvec(v["c"], v["i"]))), {"c": (3, 2), "i": (2,)}),
-        ("row", lambda v: T.sumall(T.square(T.row(v["c"], 1))), {"c": (3, 2)}),
+        ("add_rowvec", lambda v: T.sumall(T.square(T.add(v["c"], v["i"]))), {"c": (3, 2), "i": (2,)}),
+        ("row", lambda v: T.sumall(T.square(T.take(v["c"], 1))), {"c": (3, 2)}),
         ("log_softmax_rows", lambda v: T.sumall(T.mul(T.log_softmax(v["c"]), T.const(W32))), {"c": (3, 2)}),
-        ("pick_rows", lambda v: T.sumall(T.pick(T.log_softmax(v["k"]), [2, 0])), {"k": (2, 3)}),
-        ("transpose", lambda v: T.sumall(T.square(T.matmul(v["c"], T.transpose(v["l"])))), {"c": (3, 2), "l": (4, 2)}),
+        ("pick_rows", lambda v: T.sumall(T.pick_log_softmax(v["k"], v["l"], [[2, 0]], [2])), {"k": (1, 2, 2), "l": (3, 2)}),
+        ("blend", lambda v: T.sumall(T.mul(T.blend(MASK32[:, :1], v["c"], v["m"]), T.const(W32))), {"c": (3, 2), "m": (3, 2)}),
+        ("additive_scores", lambda v: T.sumall(T.mul(T.additive_scores(v["h"], v["n"], v["i"]), T.const(W23))), {"h": (2, 3, 2), "n": (2, 2), "i": (2,)}),
+        ("pick_log_softmax_blocks", lambda v: T.sumall(T.mul(T.pick_log_softmax(v["h"], v["l"], [[1, 1, 3], [0, 2, 0]], [3, 2]), T.const(W23))), {"h": (2, 3, 2), "l": (4, 2)}),
+        ("softmax_masked", lambda v: T.sumall(T.mul(T.softmax(v["p"], MASK23), T.const(W23))), {"p": (2, 3)}),
+        ("matvec_nd", lambda v: T.sumall(T.square(T.matvec(v["a"], v["h"]))), {"a": (3, 2), "h": (2, 3, 2)}),
+        ("embed_2d_ids", lambda v: T.sumall(T.mul(T.embed(v["c"], [[2, 0, 2], [1, 2, 0]]), T.const(W232))), {"c": (3, 2)}),
+        ("vecmat_batched", lambda v: T.sumall(T.square(T.vecmat(v["p"], v["h"]))), {"p": (2, 3), "h": (2, 3, 2)}),
+        ("matmul_nd", lambda v: T.sumall(T.square(T.matmul(v["h"], v["q"]))), {"h": (2, 3, 2), "q": (2, 4)}),
+        ("concat_axis1", lambda v: T.sumall(T.square(T.concat([v["h"], v["r"]], axis=1))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
+        ("stack_axis1", lambda v: T.sumall(T.mul(T.stack([v["p"], v["o"]], axis=1), T.const(np.transpose(W232, (0, 2, 1))))), {"p": (2, 3), "o": (2, 3)}),
+        ("take_step", lambda v: T.sumall(T.square(T.take(v["h"], np.s_[:, 1]))), {"h": (2, 3, 2)}),
+        ("sqrt_sum_axes", lambda v: T.sumall(T.sqrt(T.sumall(T.square(v["h"]), axis=(-2, -1)))), {"h": (2, 3, 2)}),
+        ("mul_broadcast", lambda v: T.sumall(T.square(T.mul(v["h"], v["r"]))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
+        ("gru", lambda v: T.sumall(T.mul(_gru_with_context(v, T.gru), T.const(W23))), GRU_SHAPES),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, f, shapes):
-    rng = np.random.default_rng(hash(name) % 2**32)
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     params = {k: rng.normal(scale=0.8, size=s) for k, s in shapes.items()}
     report = T.finite_diff_check(f, params, step=1e-5, tolerance=1e-6)
     assert report.passed, (name, report.max_rel_error)
@@ -131,6 +167,15 @@ def test_shared_identity_adjoint_is_not_mutated():
     assert report.passed, report.max_rel_error
 
 
+def test_backward_releases_the_tape():
+    tape = T.Tape()
+    w = tape.var([0.5, -1.5])
+    loss = T.sumall(T.tanh(w))
+    T.backward(tape, loss)
+    with pytest.raises(ValueError, match="released"):
+        T.backward(tape, loss)
+
+
 def test_backward_returns_only_leaf_adjoints():
     tape = T.Tape()
     w = tape.var([0.5, -1.5])
@@ -143,7 +188,16 @@ def test_backward_returns_only_leaf_adjoints():
 
 def test_pick_needs_one_id_per_row():
     with pytest.raises(T.ShapeError):
-        T.pick(T.const(np.zeros((2, 3))), [0, 1, 2])
+        T.pick_log_softmax(T.const(np.zeros((1, 2, 3))), T.const(np.zeros((4, 3))), [[0, 1, 2]], [2])
+
+
+def test_broadcast_operand_gets_summed_adjoint():
+    tape = T.Tape()
+    s = tape.var(3.0)
+    v = tape.var([1.0, -2.0])
+    grads = T.gradients(tape, T.sumall(T.add(s, v)), {"s": s, "v": v})
+    assert grads["s"].shape == () and grads["s"] == 2.0
+    np.testing.assert_array_equal(grads["v"], [1.0, 1.0])
 
 
 @settings(max_examples=50, deadline=None)
@@ -181,3 +235,19 @@ def test_tape_dtype_float32():
     tape = T.Tape(np.float32)
     w = tape.var([1.0, 2.0])
     assert w.data.dtype == np.float32
+
+
+def test_gru_step_equals_composed_primitives():
+    rng = np.random.default_rng(11)
+    values = {k: rng.normal(scale=0.8, size=shape) for k, shape in GRU_SHAPES.items()}
+    results = []
+    for gru in (T.gru, _composed_gru):
+        tape = T.Tape()
+        leaves = {k: tape.var(v) for k, v in values.items()}
+        out = _gru_with_context(leaves, gru)
+        loss = T.sumall(T.mul(out, T.const(W23)))
+        results.append((out.data, T.gradients(tape, loss, leaves)))
+    (out, grads), (want_out, want_grads) = results
+    np.testing.assert_allclose(out, want_out, rtol=1e-12)
+    for k in values:
+        np.testing.assert_allclose(grads[k], want_grads[k], rtol=1e-12, atol=1e-15, err_msg=k)

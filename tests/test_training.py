@@ -272,3 +272,52 @@ def test_clip_gradients_scales_to_max_norm():
     assert total == pytest.approx(5.0)
     # direction preserved
     assert grads["a"][1] / grads["a"][0] == pytest.approx(4.0 / 3.0)
+
+
+def uneven_batch():
+    from attnalign.corpus import make_batch
+
+    pairs = [
+        SentencePair([3, 4, 5, 6, EOS_ID], [3, 6, 6, EOS_ID]),
+        SentencePair([5, EOS_ID], [4, 7, 5, 2, 6, EOS_ID]),
+        SentencePair([6, 3, 3, EOS_ID], [EOS_ID]),
+    ]
+    sup = [np.full((p.tgt_len, p.src_len), 1.0 / p.src_len) for p in pairs]
+    return make_batch(pairs, sup)
+
+
+def test_sentence_loss_and_gradient_do_not_depend_on_batch_mates():
+    # the padded batch gives each sentence the numbers of its own B=1 run
+    params = make_params(8)
+    batch = uneven_batch()
+    trace = forward_teacher_forced(params, batch)
+    loss = sentence_loss(trace, batch.supervision, training.JOINT, 0.7)
+    grads = T.gradients(trace.tape, loss, trace.leaves)
+    want = {n: np.zeros_like(v) for n, v in params.tensors.items()}
+    want_loss = 0.0
+    for k, (pair, sup) in enumerate(zip(batch.pairs, batch.supervision)):
+        m, l = pair.tgt_len, pair.src_len
+        one = forward_teacher_forced(params, pair)
+        nll, dist = training.sentence_loss_parts(one, sup)
+        assert -sum(trace.log_probs.data[k, :m].tolist()) == pytest.approx(nll, rel=1e-12)
+        got_dist = float(np.sqrt(((trace.attention.data[k, :m, :l] - sup) ** 2).sum()))
+        assert got_dist == pytest.approx(dist, rel=1e-12)
+        one_loss = sentence_loss(one, sup, training.JOINT, 0.7)
+        want_loss += float(one_loss.data)
+        for n, g in T.gradients(one.tape, one_loss, one.leaves).items():
+            want[n] += g
+    assert float(loss.data) == pytest.approx(want_loss, rel=1e-12)
+    for n in params.names():
+        assert np.abs(grads[n] - want[n]).max() <= 1e-12 * np.abs(want[n]).max(), n
+
+
+def test_pad_rows_get_exactly_zero_gradient():
+    params = make_params(9)
+    batch = uneven_batch()
+    assert (batch.src_ids == 0).any() and (batch.tgt_ids[:, :-1] == 0).any()
+    trace = forward_teacher_forced(params, batch)
+    loss = sentence_loss(trace, batch.supervision, training.JOINT, 1.0)
+    grads = T.gradients(trace.tape, loss, trace.leaves)
+    assert np.all(grads["src_emb"][0] == 0.0)
+    assert np.all(grads["tgt_emb"][0] == 0.0)
+    assert np.any(grads["src_emb"][3] != 0.0)
