@@ -69,12 +69,17 @@ class Vocab:
 
     @classmethod
     def load(cls, path):
-        vocab = cls()
+        """The vocabulary ``save`` wrote: empty lines are skipped, a repeated
+        token keeps its first id, and a reserved token is an error."""
         with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                tok = line.rstrip("\n")
-                if tok:
-                    vocab.add(tok)
+            lines = fh.read().split("\n")
+        reserved = set(RESERVED).intersection(lines)
+        if reserved:
+            lineno = min(lines.index(t) for t in reserved) + 1
+            raise ValueError(f"{path}:{lineno}: reserved token {lines[lineno - 1]!r} in a vocabulary file")
+        vocab = cls()
+        vocab.id_to_token += list(dict.fromkeys(t for t in lines if t))
+        vocab.token_to_id = {t: i for i, t in enumerate(vocab.id_to_token)}
         return vocab
 
 

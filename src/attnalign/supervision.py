@@ -158,11 +158,10 @@ def attention_distance(attn, target, mask=None):
 
 
 def format_matrix(matrix):
-    matrix = np.asarray(matrix)
+    matrix = np.asarray(matrix, dtype=np.float64)
     m, l = matrix.shape
     lines = [f"{m} {l}"]
-    for row in matrix:
-        lines.append(" ".join(repr(float(v)) for v in row))
+    lines += [" ".join(map(repr, row)) for row in matrix.tolist()]
     return "\n".join(lines) + "\n"
 
 

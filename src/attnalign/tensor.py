@@ -20,8 +20,8 @@ encoder-decoder model are provided:
 - fused layers whose VJPs recompute their activations instead of keeping
   them on the tape: gru (one GRU step from precomputed input projections),
   additive_scores (attention scores) and pick_log_softmax (reference-token
-  log-likelihood under a vocabulary projection, one block of rows at a
-  time).
+  log-likelihood under a vocabulary projection, over the packed real rows
+  of all blocks in chunks of bounded size).
 """
 
 from __future__ import annotations
@@ -33,6 +33,10 @@ import numpy as np
 # Added under the sqrt in the backward pass only, so that the gradient at
 # sqrt(0) is finite instead of NaN.
 SQRT_BACKWARD_EPS = 1e-12
+
+# Bytes of logits pick_log_softmax holds at once: rows per chunk are this
+# over the vocabulary's row size (about 52 rows at V=20000 in float64).
+PICK_CHUNK_BYTES = 8 << 20
 
 
 class ShapeError(ValueError):
@@ -422,35 +426,57 @@ def pick_log_softmax(h, w, ids, lengths):
     rows t of every block k: (B, M, D), (V, D) and (B, M) ids -> (B, M), 0
     past each block's length.
 
-    It works one block at a time and keeps only each row's max and
-    log-sum-exp; the VJP recomputes a block's logits, so no (B*M, V) array
-    is ever held and padded rows cost nothing.
+    The real rows of all blocks are packed into one (N, D) array and run in
+    chunks of ``PICK_CHUNK_BYTES`` worth of logits, in place in one reused
+    buffer. Only each row's max and log-sum-exp are kept; the VJP recomputes
+    a chunk's logits and adds into the ``w`` gradient once per chunk, so no
+    (N, V) array is ever held and padded rows cost nothing.
     """
     hd, wd = h.data, w.data
     ids = np.asarray(ids, dtype=np.intp)
     if hd.ndim != 3 or wd.ndim != 2 or ids.shape != hd.shape[:2] or hd.shape[2] != wd.shape[1]:
         _check_shapes("pick_log_softmax", hd.shape, ids.shape)
-    lengths = [int(n) for n in lengths]
+    lens = np.asarray(lengths)
+    if lens.shape != hd.shape[:1] or np.any(lens < 0) or np.any(lens > hd.shape[1]):
+        raise ShapeError(
+            f"pick_log_softmax: lengths {lens.tolist()} do not fit {hd.shape[0]} blocks of {hd.shape[1]} rows"
+        )
+    real = np.arange(hd.shape[1]) < lens[:, None]
+    rows, picks = hd[real], ids[real]
+    n_rows = len(rows)
+    dtype = np.result_type(hd, wd)
+    step = max(1, PICK_CHUNK_BYTES // (wd.shape[0] * dtype.itemsize))
+    chunks = [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+    top = np.empty(n_rows, dtype=hd.dtype)
+    lse = np.empty(n_rows, dtype=hd.dtype)
+    picked = np.empty(n_rows, dtype=hd.dtype)
+    buf = np.empty((min(step, n_rows), wd.shape[0]), dtype=dtype)
+    for a, b in chunks:
+        z = np.matmul(rows[a:b], wd.T, out=buf[: b - a])
+        top[a:b] = z.max(axis=1)
+        z -= top[a:b, None]
+        picked[a:b] = z[np.arange(b - a), picks[a:b]]
+        lse[a:b] = np.log(np.exp(z, out=z).sum(axis=1))
     out = np.zeros(ids.shape, dtype=hd.dtype)
-    top = np.zeros(ids.shape, dtype=hd.dtype)
-    lse = np.zeros(ids.shape, dtype=hd.dtype)
-    for k, n in enumerate(lengths):
-        logits = hd[k, :n] @ wd.T
-        top[k, :n] = logits.max(axis=1)
-        z = logits - top[k, :n, None]
-        lse[k, :n] = np.log(np.exp(z).sum(axis=1))
-        out[k, :n] = z[np.arange(n), ids[k, :n]] - lse[k, :n]
+    out[real] = picked - lse
 
     def compute(g):
-        gh = np.zeros_like(hd)
+        g = g[real]
+        gh_rows = np.empty_like(rows)
         gw = np.zeros_like(wd)
-        for k, n in enumerate(lengths):
-            rows = hd[k, :n]
-            probs = np.exp((rows @ wd.T - top[k, :n, None]) - lse[k, :n, None])
-            d = -probs * g[k, :n, None]
-            d[np.arange(n), ids[k, :n]] += g[k, :n]
-            gh[k, :n] = d @ wd
-            gw += d.T @ rows
+        part = np.empty_like(wd)
+        buf = np.empty((min(step, n_rows), wd.shape[0]), dtype=dtype)
+        for a, b in chunks:
+            d = np.matmul(rows[a:b], wd.T, out=buf[: b - a])
+            d -= top[a:b, None]
+            d -= lse[a:b, None]
+            np.exp(d, out=d)
+            d *= -g[a:b, None]
+            d[np.arange(b - a), picks[a:b]] += g[a:b]
+            np.matmul(d, wd, out=gh_rows[a:b])
+            gw += np.matmul(d.T, rows[a:b], out=part)
+        gh = np.zeros_like(hd)
+        gh[real] = gh_rows
         return gh, gw
 
     return _record(out, _shared_vjps(compute, h, w))

@@ -32,6 +32,11 @@ PARTITIONS = ("A", "T", "ALL")
 
 DEFAULT_CLIP_NORM = 5.0
 
+# Entries per block of the AdaDelta step: a block's four operands and its
+# temporaries (64 KiB each in float64, below malloc's mmap threshold) stay
+# in cache through the formula's passes.
+ADADELTA_BLOCK = 1 << 13
+
 
 @dataclass
 class Phase:
@@ -191,6 +196,13 @@ def adadelta_update(params, grads, state, names, rho=0.95, eps=1e-6):
     """In-place AdaDelta step on the named tensors.
 
     Non-finite gradients skip the whole update (counter incremented).
+
+    A 2-D gradient of more than ``ADADELTA_BLOCK`` entries whose rows are
+    not all touched (an embedding table's at a large vocabulary) runs the
+    update on its touched rows only and decays both running averages of
+    the other rows by rho. That is bit-identical to the dense
+    update: a row of +0.0 gradients gives ``eg2*rho + 0.0``, a delta of
+    -0.0, ``ed2*rho + 0.0`` and ``p + -0.0 == p``.
     """
     for name in names:
         if not np.all(np.isfinite(grads[name])):
@@ -203,25 +215,63 @@ def adadelta_update(params, grads, state, names, rho=0.95, eps=1e-6):
         state.ensure(name, p)
         eg2 = state.avg_sq_grad[name]
         ed2 = state.avg_sq_delta[name]
+        rows = _touched_rows(g)
+        if rows is None:
+            _adadelta_dense(p, g, eg2, ed2, rho, eps)
+            continue
+        p_rows, eg2_rows, ed2_rows = p[rows], eg2[rows], ed2[rows]
         eg2 *= rho
-        eg2 += (1.0 - rho) * g * g
-        delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
         ed2 *= rho
-        ed2 += (1.0 - rho) * delta * delta
-        p += delta
+        _adadelta_dense(p_rows, g[rows], eg2_rows, ed2_rows, rho, eps)
+        p[rows], eg2[rows], ed2[rows] = p_rows, eg2_rows, ed2_rows
     return True
 
 
+def _touched_rows(g):
+    """Indices of the rows of a 2-D gradient holding any bit other than
+    +0.0 (a -0.0 would flip the sign of a -0.0 parameter), or None when
+    every row does. Gradients of at most one block (or not 2-D) get None
+    without a look: on them the dense step costs no more than the check."""
+    if g.ndim != 2 or g.size <= ADADELTA_BLOCK:
+        return None
+    rows = np.flatnonzero(np.bitwise_or.reduce(g.view(f"u{g.itemsize}"), axis=1))
+    return None if len(rows) == len(g) else rows
+
+
+def _adadelta_dense(p, g, eg2, ed2, rho, eps):
+    """The AdaDelta step on every entry, in place. A tensor of more than
+    ``ADADELTA_BLOCK`` entries goes block by block (whole rows), so that a
+    block's operands and temporaries stay in cache through the formula's
+    passes."""
+    if p.size <= ADADELTA_BLOCK:
+        _adadelta_formula(p, g, eg2, ed2, rho, eps)
+        return
+    step = max(1, ADADELTA_BLOCK * len(p) // p.size)
+    for a in range(0, len(p), step):
+        rows = slice(a, a + step)
+        _adadelta_formula(p[rows], g[rows], eg2[rows], ed2[rows], rho, eps)
+
+
+def _adadelta_formula(p, g, eg2, ed2, rho, eps):
+    eg2 *= rho
+    eg2 += (1.0 - rho) * g * g
+    delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+    ed2 *= rho
+    ed2 += (1.0 - rho) * delta * delta
+    p += delta
+
+
 def clip_gradients(grads, names, max_norm):
-    """Scale the named gradients so their global norm is at most max_norm."""
+    """Scale the named gradients in place so their global norm is at most
+    max_norm."""
     if max_norm is None or max_norm <= 0:
         return 1.0
-    total = sum(float((grads[n] ** 2).sum()) for n in names)
+    total = sum(float(np.square(grads[n]).sum()) for n in names)
     norm = np.sqrt(total)
     if norm > max_norm:
         factor = max_norm / norm
         for n in names:
-            grads[n] = grads[n] * factor
+            grads[n] *= factor
         return factor
     return 1.0
 

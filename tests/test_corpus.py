@@ -61,6 +61,20 @@ class TestVocab:
         again = Vocab.load(path)
         assert again.id_to_token == v.id_to_token
 
+    def test_load_skips_empty_lines_and_keeps_first_id(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_text("b\n\na\nb\nc\n", encoding="utf-8")
+        v = Vocab.load(path)
+        want = Vocab(["b", "a", "b", "c"])
+        assert v.id_to_token == want.id_to_token
+        assert v.token_to_id == want.token_to_id
+
+    def test_load_rejects_a_reserved_token(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_text("b\n\na\nb\n<eos>\nc\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"v\.vocab:5: reserved token '<eos>'"):
+            Vocab.load(path)
+
 
 class TestEncodePair:
     def test_eos_appended_both_sides(self):

@@ -179,6 +179,16 @@ def test_matrix_text_round_trip():
     assert np.array_equal(mat, again)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_matrix_text_equals_per_value_repr(dtype):
+    rng = np.random.default_rng(7)
+    mat = rng.random((5, 4)).astype(dtype)
+    mat[0, :3] = [0.0, 1.0, 1e-30]
+    mat[1, 0] = np.finfo(dtype).tiny
+    rows = [" ".join(repr(float(v)) for v in row) for row in mat]
+    assert format_matrix(mat) == "\n".join(["5 4", *rows]) + "\n"
+
+
 def test_matrix_text_malformed():
     with pytest.raises(ValueError):
         parse_matrix("2 3\n1 2 3\n")  # missing a row

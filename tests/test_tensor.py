@@ -191,6 +191,53 @@ def test_pick_needs_one_id_per_row():
         T.pick_log_softmax(T.const(np.zeros((1, 2, 3))), T.const(np.zeros((4, 3))), [[0, 1, 2]], [2])
 
 
+@pytest.mark.parametrize("lengths", [[2], [2, 1, 0], [2, 3], [-1, 2]])
+def test_pick_needs_one_length_per_block_within_its_rows(lengths):
+    h, w = T.const(np.zeros((2, 2, 3))), T.const(np.zeros((4, 3)))
+    with pytest.raises(T.ShapeError, match="lengths"):
+        T.pick_log_softmax(h, w, [[0, 1], [2, 3]], lengths)
+
+
+def per_block_pick_log_softmax(hd, wd, ids, lengths, g):
+    """Oracle: the log-probs and the (h, w) gradients of pick_log_softmax
+    against an output adjoint ``g``, one block of rows at a time."""
+    out = np.zeros(ids.shape)
+    gh, gw = np.zeros_like(hd), np.zeros_like(wd)
+    for k, n in enumerate(lengths):
+        rows = hd[k, :n]
+        logits = rows @ wd.T
+        z = logits - logits.max(axis=1, keepdims=True)
+        lse = np.log(np.exp(z).sum(axis=1))
+        out[k, :n] = z[np.arange(n), ids[k, :n]] - lse
+        d = -np.exp(z - lse[:, None]) * g[k, :n, None]
+        d[np.arange(n), ids[k, :n]] += g[k, :n]
+        gh[k, :n] = d @ wd
+        gw += d.T @ rows
+    return out, gh, gw
+
+
+@pytest.mark.parametrize("rows_per_chunk", [None, 3])
+@pytest.mark.parametrize("vocab", [30, 5000])
+def test_packed_pick_log_softmax_equals_per_block_oracle(monkeypatch, vocab, rows_per_chunk):
+    if rows_per_chunk is not None:
+        monkeypatch.setattr(T, "PICK_CHUNK_BYTES", rows_per_chunk * vocab * 8)
+    rng = np.random.default_rng(vocab)
+    lengths = [5, 0, 7, 1]
+    hd = rng.normal(size=(4, 7, 6))
+    wd = rng.normal(scale=0.5, size=(vocab, 6))
+    ids = rng.integers(0, vocab, size=(4, 7))
+    g = rng.normal(size=(4, 7))
+    tape = T.Tape()
+    h, w = tape.var(hd), tape.var(wd)
+    out = T.pick_log_softmax(h, w, ids, lengths)
+    grads = T.gradients(tape, T.sumall(T.mul(out, T.const(g))), {"h": h, "w": w})
+    want = per_block_pick_log_softmax(hd, wd, ids, lengths, g)
+    for got, ref in zip((out.data, grads["h"], grads["w"]), want):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+    real = np.arange(7) < np.array(lengths)[:, None]
+    assert np.all(out.data[~real] == 0.0) and np.all(grads["h"][~real] == 0.0)
+
+
 def test_broadcast_operand_gets_summed_adjoint():
     tape = T.Tape()
     s = tape.var(3.0)

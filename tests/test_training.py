@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -117,6 +119,52 @@ class TestAdaDelta:
             if abs(p.tensors["w"][0]) < 0.5:
                 break
         assert abs(p.tensors["w"][0]) < 0.5
+
+
+def dense_adadelta(params, grads, state, names, rho=0.95, eps=1e-6):
+    """Oracle: the AdaDelta step over every entry of every tensor."""
+    for name in names:
+        g = grads[name]
+        p = params.tensors[name]
+        state.ensure(name, p)
+        eg2 = state.avg_sq_grad[name]
+        ed2 = state.avg_sq_delta[name]
+        eg2 *= rho
+        eg2 += (1.0 - rho) * g * g
+        delta = -np.sqrt(ed2 + eps) / np.sqrt(eg2 + eps) * g
+        ed2 *= rho
+        ed2 += (1.0 - rho) * delta * delta
+        p += delta
+
+
+@pytest.mark.parametrize("block", [None, 4])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_touched_row_adadelta_equals_dense_oracle(monkeypatch, dtype, block):
+    if block is not None:
+        monkeypatch.setattr(training, "ADADELTA_BLOCK", block)  # several blocks per tensor
+    rng = np.random.default_rng(12)
+    shapes = {"emb": (9, 3), "zero": (4, 3), "w": (3, 5), "b": (5,)}
+    fast = SimpleNamespace(tensors={n: rng.normal(size=s).astype(dtype) for n, s in shapes.items()})
+    fast.tensors["emb"][8, 0] = -0.0
+    slow = SimpleNamespace(tensors={n: v.copy() for n, v in fast.tensors.items()})
+    fast_state, slow_state = AdaDeltaState(), AdaDeltaState()
+    names = list(fast.tensors)
+    for step in range(4):
+        grads = {n: rng.normal(size=v.shape).astype(dtype) for n, v in fast.tensors.items()}
+        grads["emb"][[0, 4, 7, 8]] = 0.0  # rows never touched
+        grads["emb"][8] = -0.0 if step == 3 else 0.0  # flips a -0.0 parameter to +0.0
+        grads["emb"][5] *= step < 2  # touched, then zero
+        grads["emb"][6, 1] = 0.0  # a touched row with a zero entry
+        grads["zero"][:] = 0.0  # an all-zero 2-D gradient
+        assert adadelta_update(fast, {n: g.copy() for n, g in grads.items()}, fast_state, names)
+        dense_adadelta(slow, grads, slow_state, names)
+        for n in names:
+            for got, want in ((fast.tensors, slow.tensors), (fast_state.avg_sq_grad, slow_state.avg_sq_grad),
+                              (fast_state.avg_sq_delta, slow_state.avg_sq_delta)):
+                assert got[n].dtype == dtype
+                assert np.array_equal(got[n], want[n]), (step, n)
+                assert got[n].tobytes() == want[n].tobytes(), (step, n)  # signs of zeros too
+    assert not np.signbit(fast.tensors["emb"][8, 0])
 
 
 class TestSchedule:
@@ -272,6 +320,14 @@ def test_clip_gradients_scales_to_max_norm():
     assert total == pytest.approx(5.0)
     # direction preserved
     assert grads["a"][1] / grads["a"][0] == pytest.approx(4.0 / 3.0)
+
+
+def test_clip_gradients_scales_in_place_and_keeps_the_dtype():
+    a = np.array([3.0, 4.0], dtype=np.float32)
+    grads = {"a": a, "b": np.array([12.0], dtype=np.float32)}
+    factor = training.clip_gradients(grads, ["a", "b"], 5.0)
+    assert grads["a"] is a and a.dtype == np.float32
+    np.testing.assert_array_equal(a, np.array([3.0, 4.0], dtype=np.float32) * np.float32(factor))
 
 
 def uneven_batch():
