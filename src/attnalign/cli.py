@@ -256,6 +256,8 @@ def cmd_translate(args):
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
     with open(args.src, encoding="utf-8") as fh:
         lines = [line.split() for line in fh]
+    for lineno, tokens in enumerate(lines, 1):
+        corpus.check_text_tokens(args.src, lineno, tokens)
     kept = [k for k, tokens in enumerate(lines) if tokens]
     sources = [src_vocab.encode(lines[k]) + [corpus.EOS_ID] for k in kept]
     hyps = evaluation.greedy_decode_all(params, sources, max_len=args.max_len)

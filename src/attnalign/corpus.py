@@ -28,6 +28,9 @@ EOS_TOKEN = "<eos>"
 UNK_TOKEN = "<unk>"
 
 RESERVED = [PAD_TOKEN, EOS_TOKEN, UNK_TOKEN]
+# Reserved tokens that may not appear in text: either would put its id at a
+# real position. A literal <unk> maps to the unk id like any unknown word.
+NOT_IN_TEXT = (PAD_TOKEN, EOS_TOKEN)
 
 
 class Vocab:
@@ -40,10 +43,10 @@ class Vocab:
             self.add(tok)
 
     def add(self, token):
-        if token in self.token_to_id:
-            return self.token_to_id[token]
         if token in RESERVED:
             raise ValueError(f"reserved token {token!r} cannot be re-added")
+        if token in self.token_to_id:
+            return self.token_to_id[token]
         idx = len(self.id_to_token)
         self.id_to_token.append(token)
         self.token_to_id[token] = idx
@@ -83,8 +86,18 @@ class Vocab:
         return vocab
 
 
+def check_text_tokens(path, lineno, tokens):
+    """Reject a line of text tokens holding a literal <pad> or <eos>, as
+    ``path:lineno: reserved token '<eos>'`` for the first one."""
+    found = [tokens.index(t) for t in NOT_IN_TEXT if t in tokens]
+    if found:
+        raise ValueError(f"{path}:{lineno}: reserved token {tokens[min(found)]!r}")
+
+
 def build_vocab(path, max_size):
-    """Most-frequent tokens up to max_size; ties broken by first occurrence."""
+    """Most-frequent tokens up to max_size; ties broken by first occurrence.
+    A literal <unk> is not counted, and a literal <pad> or <eos> is an
+    error."""
     counts = Counter()
     first_seen = {}
     n_lines = 0
@@ -99,6 +112,11 @@ def build_vocab(path, max_size):
                     first_seen[tok] = len(first_seen)
     if n_lines == 0:
         raise ValueError(f"empty corpus: {path}")
+    if any(t in counts for t in NOT_IN_TEXT):
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                check_text_tokens(path, lineno, line.split())
+    counts.pop(UNK_TOKEN, None)
     ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
     return Vocab(ranked[:max_size])
 
@@ -158,6 +176,9 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
     pairs, kept = [], []
     skipped_empty = skipped_long = 0
     for n, (s, t) in enumerate(zip(src_lines, tgt_lines)):
+        for path, line in ((src_path, s), (tgt_path, t)):
+            if "<" in line:
+                check_text_tokens(path, n + 1, line.split())
         pair = encode_pair(s, t, src_vocab, tgt_vocab, pair_index=n)
         if pair is None:
             skipped_empty += 1

@@ -179,13 +179,6 @@ class DecoderTrace:
     tgt_lens: np.ndarray
 
 
-def _gru_step(tv, prefix, x, h_prev, ctx=None, ctx_w=None):
-    """One GRU step; ``x`` holds the input's gate pre-activations W_g x + b_g,
-    computed outside the time loop, and ``ctx`` a second input multiplied
-    by ``ctx_w`` inside the step."""
-    return T.gru(x, h_prev, [tv[f"{prefix}.U{g}"] for g in GATES], ctx, ctx_w)
-
-
 def _step(parts, t):
     return [T.take(p, np.s_[:, t]) for p in parts]
 
@@ -193,24 +186,18 @@ def _step(parts, t):
 def encode(src_ids, tv, dims, mask=None):
     """Bidirectional GRU over padded sources (B, L), from zero initial
     states. The input projections run once per gate and direction over all
-    positions. Past a source's end (mask 0) the forward state is carried and
-    the backward state stays zero, so a sentence's states at its real
-    positions are those of its unpadded run."""
+    positions, and each direction's recurrence is one ``gru_sequence`` node.
+    Past a source's end (mask 0) the forward state is carried and the
+    backward state stays zero, so a sentence's states at its real positions
+    are those of its unpadded run."""
     src_ids = np.asarray(src_ids)
     mask = np.ones(src_ids.shape, dtype=np.int8) if mask is None else np.asarray(mask)
-    n, l = src_ids.shape
     emb = T.embed(tv["src_emb"], src_ids)
-    zeros = T.const(np.zeros((n, dims.hidden)), emb.data.dtype)
-    runs = {}
-    for prefix, order in (("enc_fwd", range(l)), ("enc_bwd", range(l - 1, -1, -1))):
+    runs = []
+    for prefix, reverse in (("enc_fwd", False), ("enc_bwd", True)):
         parts = [T.add(T.matvec(tv[f"{prefix}.W{g}"], emb), tv[f"{prefix}.b{g}"]) for g in GATES]
-        h, states = zeros, [None] * l
-        for t in order:
-            h_new = _gru_step(tv, prefix, _step(parts, t), h)
-            h = h_new if mask[:, t].all() else T.blend(mask[:, t, None], h_new, h)
-            states[t] = h
-        runs[prefix] = T.stack(states, axis=1)
-    fwd, bwd = runs["enc_fwd"], runs["enc_bwd"]
+        runs.append(T.gru_sequence(parts, [tv[f"{prefix}.U{g}"] for g in GATES], mask, reverse))
+    fwd, bwd = runs
     first_bwd = T.take(bwd, np.s_[:, 0])
     return EncoderStates(T.concat([fwd, bwd]), T.concat([bwd, fwd]), first_bwd, mask)
 
@@ -267,7 +254,8 @@ def decode_step(s_prev, y_parts, enc, tv, h_proj=None, ctx_w=None):
         ctx_w = context_weights(tv)
     alpha = attend(s_prev, enc, y_att, tv, h_proj)
     context = attention_context(alpha, enc)
-    return _gru_step(tv, "dec", y_gates, s_prev, context, ctx_w), alpha
+    u = [tv[f"dec.U{g}"] for g in GATES]
+    return T.gru(y_gates, s_prev, u, context, ctx_w), alpha
 
 
 def output_states(s, y, tv):

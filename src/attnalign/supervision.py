@@ -10,6 +10,7 @@ Euclidean (Frobenius) distance.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -98,15 +99,20 @@ def smoothed_transform(aligned, cfg=None, normalize=True):
     if cfg is None:
         cfg = SmoothingConfig()
     m, l = aligned.m, aligned.l
+    # kernel weight by distance from a link's column (kernel(-d) is kernel(d))
+    band = np.zeros(l)
+    reach = min(cfg.window, l - 1)
+    band[: reach + 1] = [cfg.kernel(d) for d in range(reach + 1)]
+    links = np.fromiter(itertools.chain.from_iterable(aligned.links), np.intp,
+                        2 * len(aligned.links)).reshape(-1, 2) - 1
+    rows = band[np.abs(links[:, 1:] - np.arange(l))]
+    eos = links[:, 1] == l - 1
+    rows[:, l - 1] = eos  # only an eos link reaches the eos column, as a point mass
+    rows[eos, : l - 1] = 0.0
     out = np.zeros((m, l), dtype=np.float64)
-    for t, i in aligned.links:
-        if i == l:
-            out[t - 1, l - 1] += 1.0
-            continue
-        for delta in range(-cfg.window, cfg.window + 1):
-            j = i + delta
-            if 1 <= j <= l - 1:
-                out[t - 1, j - 1] += cfg.kernel(delta)
+    # one unbuffered add of each link's row in link order: every cell sums
+    # its kernel values in the order one += per cell would, plus exact zeros
+    np.add.at(out, links[:, 0], rows)
     if not normalize:
         return out
     sums = out.sum(axis=1, keepdims=True)

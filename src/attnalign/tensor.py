@@ -8,8 +8,7 @@ its operand's shape), and products and reductions act on the last axes, so
 one node serves every sentence of a batch. Only the primitives needed by the
 encoder-decoder model are provided:
 
-- elementwise: add, sub, neg, mul, scale, tanh, sigmoid, square, sqrt, and
-  blend (a mask-selected carry);
+- elementwise: add, sub, neg, mul, scale, tanh, sigmoid, square, sqrt;
 - products: matvec (W applied along the last axis), vecmat (batched
   weighted sum of rows), matmul;
 - assembly and indexing: concat and stack along an axis, take (numpy basic
@@ -17,11 +16,14 @@ encoder-decoder model are provided:
   once in the VJP);
 - reductions: sumall (over all or the given axes), softmax (last axis,
   optionally masked), log_softmax (last axis);
+- recurrent layers that keep their gates for the VJP: gru (one GRU step
+  from precomputed input projections) and gru_sequence (a whole masked GRU
+  direction as one node, backprop through time in its VJP);
 - fused layers whose VJPs recompute their activations instead of keeping
-  them on the tape: gru (one GRU step from precomputed input projections),
-  additive_scores (attention scores) and pick_log_softmax (reference-token
-  log-likelihood under a vocabulary projection, over the packed real rows
-  of all blocks in chunks of bounded size).
+  them on the tape: additive_scores (attention scores) and
+  pick_log_softmax (reference-token log-likelihood under a vocabulary
+  projection, over the packed real rows of all blocks in chunks of bounded
+  size).
 """
 
 from __future__ import annotations
@@ -187,17 +189,6 @@ def scale(a, c):
     return _record(a.data * c, [(a, lambda g: g * c)])
 
 
-def blend(mask, new, prev):
-    """``new`` where ``mask`` is nonzero and ``prev`` elsewhere: the carry
-    ``m*new + (1-m)*prev`` of a recurrent state past the end of a padded
-    sequence. ``mask`` is a constant array broadcast against the states;
-    the VJP keeps only the mask."""
-    keep = np.asarray(mask, dtype=bool)
-    out = np.where(keep, new.data, prev.data)
-    return _record(out, [(new, lambda g: np.where(keep, g, 0)),
-                         (prev, lambda g: np.where(keep, 0, g))])
-
-
 def matvec(w, x):
     """W applied to every vector along the last axis: (M, N) and (..., N)
     -> (..., M), as one product for the whole batch."""
@@ -296,6 +287,42 @@ def embed(table, ids):
     return _record(out, [(table, vjp)])
 
 
+def _gru_gates(x, h, u, zr, rh, c, ctx=None, w_ctx=None):
+    """One GRU step's gates on plain arrays, written into ``zr`` (z and r
+    stacked), ``rh`` (r * h) and ``c``: x = (x_z, x_r, x_c) input
+    pre-activations, h the previous state, u = (U_z, U_r, U_c), and an
+    optional second input ``ctx`` with weights ``w_ctx``."""
+    for k in (0, 1):
+        np.add(x[k], h @ u[k].T, out=zr[k])
+        if ctx is not None:
+            zr[k] += ctx @ w_ctx[k].T
+    np.negative(zr, out=zr)
+    np.exp(zr, out=zr)
+    zr += 1.0
+    np.divide(1.0, zr, out=zr)
+    np.multiply(zr[1], h, out=rh)
+    pre_c = x[2] + rh @ u[2].T
+    if ctx is not None:
+        pre_c += ctx @ w_ctx[2].T
+    np.tanh(pre_c, out=c)
+
+
+def _gru_step_vjp(g, h, z, r, c, u):
+    """Adjoints of one GRU step's gate pre-activations (dz, dr, dc) and of
+    its previous state, given the adjoint ``g`` of its new state and the
+    gates the forward pass kept."""
+    dz = (g * (c - h)) * z * (1.0 - z)
+    dc = (g * z) * (1.0 - c * c)
+    drh = dc @ u[2]
+    dr = (drh * h) * r * (1.0 - r)
+    return dz, dr, dc, g * (1.0 - z) + drh * r + dr @ u[1] + dz @ u[0]
+
+
+def _outer(g, v):
+    """The weight gradient sum_k g[k] v[k]^T over all leading axes."""
+    return g.reshape(-1, g.shape[-1]).T @ v.reshape(-1, v.shape[-1])
+
+
 def gru(x, h_prev, u, ctx=None, w_ctx=None):
     """One GRU step: ``x`` holds the input's gate pre-activations
     (x_z, x_r, x_c), each W_g input + b_g, and ``u`` the recurrent weights
@@ -304,44 +331,84 @@ def gru(x, h_prev, u, ctx=None, w_ctx=None):
     r = sigmoid(x_r + U_r h) and c = tanh(x_c + U_c (r * h)), returns
     (1 - z) * h + z * c.
 
-    The VJP recomputes the gates from its inputs, so the tape keeps only
-    the new state.
+    The tape keeps the gates z, r, r * h and c for the VJP.
     """
     hd = h_prev.data
-    extra = [] if ctx is None else [ctx, *w_ctx]
-
-    def gates():
-        pre = [xg.data + hd @ ug.data.T for xg, ug in zip(x[:2], u[:2])]
-        if ctx is not None:
-            pre = [p + ctx.data @ w.data.T for p, w in zip(pre, w_ctx)]
-        z, r = (1.0 / (1.0 + np.exp(-p)) for p in pre)
-        rh = r * hd
-        pre_c = x[2].data + rh @ u[2].data.T
-        if ctx is not None:
-            pre_c = pre_c + ctx.data @ w_ctx[2].data.T
-        return z, r, rh, np.tanh(pre_c)
-
-    z, _, _, c = gates()
+    ud = [w.data for w in u]
+    cd, wd = (None, None) if ctx is None else (ctx.data, [w.data for w in w_ctx])
+    zr, rh, c = np.empty((2, *hd.shape), dtype=hd.dtype), np.empty_like(hd), np.empty_like(hd)
+    _gru_gates([p.data for p in x], hd, ud, zr, rh, c, cd, wd)
+    z, r = zr
     out = (1.0 - z) * hd + z * c
 
-    def outer(g, v):
-        return g.reshape(-1, g.shape[-1]).T @ v.reshape(-1, v.shape[-1])
-
     def compute(g):
-        z, r, rh, c = gates()
-        dz = (g * (c - hd)) * z * (1.0 - z)
-        dc = (g * z) * (1.0 - c * c)
-        drh = dc @ u[2].data
-        dr = (drh * hd) * r * (1.0 - r)
-        dh = g * (1.0 - z) + drh * r + dr @ u[1].data + dz @ u[0].data
-        grads = [dz, dr, dc, dh, outer(dz, hd), outer(dr, hd), outer(dc, rh)]
+        dz, dr, dc, dh = _gru_step_vjp(g, hd, z, r, c, ud)
+        grads = [dz, dr, dc, dh, _outer(dz, hd), _outer(dr, hd), _outer(dc, rh)]
         if ctx is not None:
             d_pre = (dz, dr, dc)
-            grads.append(sum(d @ w.data for d, w in zip(d_pre, w_ctx)))
-            grads += [outer(d, ctx.data) for d in d_pre]
+            grads.append(sum(d @ w for d, w in zip(d_pre, wd)))
+            grads += [_outer(d, cd) for d in d_pre]
         return grads
 
+    extra = [] if ctx is None else [ctx, *w_ctx]
     return _record(out, _shared_vjps(compute, *x, h_prev, *u, *extra))
+
+
+def gru_sequence(x_parts, u, mask, reverse=False):
+    """A whole GRU direction over a padded batch as one node: ``x_parts``
+    holds the (B, L, H) gate pre-activations (x_z, x_r, x_c) of every
+    position and ``u`` the recurrent weights (U_z, U_r, U_c). The state
+    starts at zero and steps through positions 0..L-1, or L-1..0 when
+    ``reverse``; where ``mask`` (B, L) is 0 the state is carried unchanged.
+    Returns the (B, L, H) states, each position's after its step.
+
+    The tape keeps each step's z, r, r * h and c, time-major like the
+    loop; the previous states are the output shifted by one step. The VJP
+    runs backprop through time on them without recomputing a gate, returns
+    the three input adjoints as (B, L, H) arrays and each U gradient as one
+    product over all steps.
+    """
+    xd = [p.data for p in x_parts]
+    ud = [w.data for w in u]
+    n, steps, hid = xd[0].shape
+    keep = np.asarray(mask, dtype=bool)
+    if keep.shape != (n, steps) or any(p.shape != xd[0].shape for p in xd):
+        _check_shapes("gru_sequence", xd[0].shape, keep.shape)
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    # time-major, so that every step's slices are contiguous
+    x_steps = np.stack([p.transpose(1, 0, 2) for p in xd], axis=1)
+    live = keep.T[:, :, None]
+    full = keep.all(axis=0)
+    states, zr, rh, c = (np.empty((steps, *shape, hid), dtype=xd[0].dtype)
+                         for shape in ((n,), (2, n), (n,), (n,)))
+    h = np.zeros((n, hid), dtype=xd[0].dtype)
+    for t in order:
+        _gru_gates(x_steps[t], h, ud, zr[t], rh[t], c[t])
+        h_new = (1.0 - zr[t, 0]) * h + zr[t, 0] * c[t]
+        h = h_new if full[t] else np.where(live[t], h_new, h)
+        states[t] = h
+
+    def compute(g):
+        g = g.transpose(1, 0, 2)
+        h_prev = np.zeros_like(states)
+        if reverse:
+            h_prev[:-1] = states[1:]
+        else:
+            h_prev[1:] = states[:-1]
+        d = np.empty((3, steps, n, hid), dtype=g.dtype)
+        dh = np.zeros((n, hid), dtype=g.dtype)
+        for t in reversed(order):
+            a, carry = g[t] + dh, None
+            if not full[t]:
+                a, carry = np.where(live[t], a, 0.0), np.where(live[t], 0.0, a)
+            d[0, t], d[1, t], d[2, t], dh = _gru_step_vjp(a, h_prev[t], *zr[t], c[t], ud)
+            if carry is not None:
+                dh += carry
+        grads = [np.ascontiguousarray(dk.transpose(1, 0, 2)) for dk in d]
+        return grads + [_outer(d[0], h_prev), _outer(d[1], h_prev), _outer(d[2], rh)]
+
+    out = states.transpose(1, 0, 2)
+    return _record(out, _shared_vjps(compute, *x_parts, *u))
 
 
 def tanh(x):

@@ -382,6 +382,32 @@ class TestDecodeCommands:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("command", ["translate", "dump-attn"])
+    def test_reserved_token_in_input_is_one_line_error(self, copy_corpus, trained, caplog, command):
+        lines = (trained / "toy.src").read_text().splitlines()
+        lines[2] = lines[2] + " <eos>"
+        src = trained / "reserved.src"
+        src.write_text("".join(line + "\n" for line in lines))
+        out = trained / "out.txt"
+        args = [command, "--checkpoint", str(trained / "m.ckpt"), "--src-vocab",
+                str(trained / "v.src.vocab"), "--tgt-vocab", str(trained / "v.tgt.vocab"),
+                "--src", str(src), "--out", str(out)]
+        if command == "dump-attn":
+            args += ["--tgt", copy_corpus + ".tgt"]
+        assert run(*args) == 2
+        assert f"{src}:3: reserved token '<eos>'" in caplog.text
+        assert not out.exists()
+
+
+def test_prepare_rejects_a_reserved_token(copy_corpus, tmp_path, caplog):
+    tgt = tmp_path / "reserved.tgt"
+    tgt.write_text("a <pad>\n")
+    rc = run("prepare", "--src", copy_corpus + ".src", "--tgt", str(tgt),
+             "--out-prefix", str(tmp_path / "v"))
+    assert rc == 2
+    assert f"{tgt}:1: reserved token '<pad>'" in caplog.text
+
+
 def test_parse_config_file(tmp_path):
     cfg = tmp_path / "c.cfg"
     cfg.write_text("# comment\nalpha = 1\n\nbeta=x=y\n")

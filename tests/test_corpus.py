@@ -76,6 +76,26 @@ class TestVocab:
             Vocab.load(path)
 
 
+    @pytest.mark.parametrize("token", ["<pad>", "<eos>", "<unk>"])
+    def test_add_rejects_a_reserved_token(self, token):
+        with pytest.raises(ValueError, match="reserved token"):
+            Vocab(["a", token])
+
+    @pytest.mark.parametrize("token", ["<pad>", "<eos>"])
+    def test_build_rejects_a_reserved_token_with_its_line(self, tmp_path, token):
+        f = tmp_path / "c.txt"
+        f.write_text(f"a b\nb\nb {token} a <eos>\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=rf"c\.txt:3: reserved token '{token}'$"):
+            build_vocab(f, 10)
+
+    def test_build_does_not_count_a_literal_unk(self, tmp_path):
+        f = tmp_path / "c.txt"
+        f.write_text("<unk> <unk> <unk> a b\nb\n", encoding="utf-8")
+        v = build_vocab(f, 2)
+        assert v.id_to_token == ["<pad>", "<eos>", "<unk>", "b", "a"]
+        assert v.encode(["<unk>", "a"]) == [UNK_ID, 4]
+
+
 class TestEncodePair:
     def test_eos_appended_both_sides(self):
         sv, tv = Vocab(["a", "b"]), Vocab(["x"])
@@ -98,6 +118,27 @@ class TestEncodePair:
         sv, tv = Vocab(["a"]), Vocab(["x"])
         assert encode_pair("", "x", sv, tv) is None
         assert encode_pair("a", "   ", sv, tv) is None
+
+
+@pytest.mark.parametrize("side", ["src", "tgt"])
+@pytest.mark.parametrize("line,token", [("a <eos> b", "<eos>"), ("b <pad>", "<pad>"),
+                                        ("<pad> a <eos>", "<pad>")])
+def test_load_parallel_rejects_a_reserved_token(tmp_path, side, line, token):
+    paths = {s: tmp_path / s for s in ("src", "tgt")}
+    paths["src"].write_text("a b\nb\n", encoding="utf-8")
+    paths["tgt"].write_text("a b\nb\n", encoding="utf-8")
+    paths[side].write_text(f"a b\n{line}\n", encoding="utf-8")
+    v = Vocab(["a", "b"])
+    with pytest.raises(ValueError, match=rf"{side}:2: reserved token '{token}'$"):
+        load_parallel(paths["src"], paths["tgt"], v, v)
+
+
+def test_load_parallel_maps_a_literal_unk_to_unk(tmp_path):
+    (tmp_path / "s").write_text("a <unk> b\n", encoding="utf-8")
+    (tmp_path / "t").write_text("<unk>\n", encoding="utf-8")
+    v = Vocab(["a", "b"])
+    pairs, _ = load_parallel(tmp_path / "s", tmp_path / "t", v, v)
+    assert pairs[0].src_ids == [3, UNK_ID, 4, EOS_ID] and pairs[0].tgt_ids == [UNK_ID, EOS_ID]
 
 
 def test_load_parallel_skips_and_counts(tmp_path, caplog):

@@ -29,6 +29,24 @@ def random_alignment(rng, max_m=8, max_l=8):
     return HardAlignment(m, l, links)
 
 
+def per_cell_smoothed_transform(aligned, cfg, normalize=True):
+    """Oracle: smoothed_transform as one += per link and offset, in the
+    link set's iteration order."""
+    m, l = aligned.m, aligned.l
+    out = np.zeros((m, l), dtype=np.float64)
+    for t, i in aligned.links:
+        if i == l:
+            out[t - 1, l - 1] += 1.0
+            continue
+        for delta in range(-cfg.window, cfg.window + 1):
+            j = i + delta
+            if 1 <= j <= l - 1:
+                out[t - 1, j - 1] += cfg.kernel(delta)
+    if not normalize:
+        return out
+    return out / out.sum(axis=1, keepdims=True)
+
+
 class TestCompleteAlignment:
     def test_unaligned_word_attaches_to_eos(self):
         # target word 3 has no link: it gains the single link to source eos
@@ -108,6 +126,22 @@ class TestSmoothedTransform:
         a = complete_alignment(HardAlignment(2, 4, {(1, 3)}))
         mat = smoothed_transform(a, SmoothingConfig(window=2, sigma=1.0))
         assert mat[0, 3] == 0.0
+
+    @pytest.mark.parametrize("window", [0, 1, 2, 3])
+    def test_equals_per_cell_loop_bytes(self, window):
+        # links anywhere on the grid, eos column included, on grids narrow
+        # enough that most kernels are truncated at a boundary
+        rng = np.random.default_rng(100 + window)
+        for _ in range(200):
+            m, l = (int(v) for v in rng.integers(1, 9, size=2))
+            cells = [(t, i) for t in range(1, m + 1) for i in range(1, l + 1)]
+            picks = rng.random(len(cells)) < rng.uniform(0.1, 0.6)
+            a = complete_alignment(HardAlignment(m, l, {c for c, p in zip(cells, picks) if p}))
+            cfg = SmoothingConfig(window=window, sigma=float(rng.uniform(0.3, 2.0)))
+            for normalize in (False, True):
+                got = smoothed_transform(a, cfg, normalize)
+                want = per_cell_smoothed_transform(a, cfg, normalize)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_both_transforms_row_stochastic(self):
         rng = np.random.default_rng(1)

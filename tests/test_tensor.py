@@ -87,7 +87,6 @@ def test_three_layer_tanh_network_matches_finite_differences():
 W32 = [[1.0, 2.0], [3.0, 4.0], [-0.5, 1.5]]
 W23 = [[1.0, -2.0, 0.5], [3.0, 0.25, -1.5]]
 W232 = [[[1.0, 2.0], [3.0, -4.0], [-0.5, 1.5]], [[0.7, -1.2], [2.5, 0.3], [-2.0, 1.1]]]
-MASK32 = np.array([[1, 0], [0, 0], [1, 0]])
 MASK23 = np.array([[1, 1, 0], [1, 1, 1]])
 
 
@@ -95,12 +94,39 @@ GRU_SHAPES = {"xz": (2, 3), "xr": (2, 3), "xc": (2, 3), "h": (2, 3), "uz": (3, 3
               "uc": (3, 3), "ctx": (2, 2), "wz": (3, 2), "wr": (3, 2), "wc": (3, 2)}
 
 
-def _composed_gru(x, h, u, ctx, w_ctx):
+SEQ_SHAPES = {"xz": (2, 3, 2), "xr": (2, 3, 2), "xc": (2, 3, 2), "uz": (2, 2), "ur": (2, 2), "uc": (2, 2)}
+
+
+def _composed_gru(x, h, u, ctx=None, w_ctx=None):
     """The GRU step written with the elementwise and product primitives."""
-    pre = [T.add(T.add(xg, T.matvec(wg, ctx)), T.matvec(ug, h)) for xg, ug, wg in zip(x[:2], u[:2], w_ctx)]
-    z, r = (T.sigmoid(p) for p in pre)
-    c = T.tanh(T.add(T.add(x[2], T.matvec(w_ctx[2], ctx)), T.matvec(u[2], T.mul(r, h))))
+    x = x if ctx is None else [T.add(xg, T.matvec(wg, ctx)) for xg, wg in zip(x, w_ctx)]
+    z, r = (T.sigmoid(T.add(xg, T.matvec(ug, h))) for xg, ug in zip(x[:2], u[:2]))
+    c = T.tanh(T.add(x[2], T.matvec(u[2], T.mul(r, h))))
     return T.add(T.mul(T.sub(1.0, z), h), T.mul(z, c))
+
+
+def per_step_gru_sequence(x_parts, u, mask, reverse=False, step=T.gru):
+    """Oracle: gru_sequence as one ``step`` node per position on the
+    position's slice of the inputs, the carry m*new + (1-m)*prev where a
+    column of ``mask`` has zeros, and the states stacked."""
+    n, steps, hid = x_parts[0].data.shape
+    dtype = x_parts[0].data.dtype
+    h = T.const(np.zeros((n, hid)), dtype)
+    states = [None] * steps
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        h_new = step([T.take(p, np.s_[:, t]) for p in x_parts], h, u)
+        if mask[:, t].all():
+            h = h_new
+        else:
+            m = T.const(mask[:, t, None], dtype)
+            h = T.add(T.mul(h_new, m), T.mul(h, T.sub(1.0, m)))
+        states[t] = h
+    return T.stack(states, axis=1)
+
+
+def _gru_sequence_of(v, reverse, seq=T.gru_sequence, mask=None):
+    mask = MASK23 if mask is None else mask
+    return seq([v["xz"], v["xr"], v["xc"]], [v["uz"], v["ur"], v["uc"]], mask, reverse)
 
 
 def _gru_with_context(v, gru):
@@ -126,7 +152,7 @@ def _gru_with_context(v, gru):
         ("row", lambda v: T.sumall(T.square(T.take(v["c"], 1))), {"c": (3, 2)}),
         ("log_softmax_rows", lambda v: T.sumall(T.mul(T.log_softmax(v["c"]), T.const(W32))), {"c": (3, 2)}),
         ("pick_rows", lambda v: T.sumall(T.pick_log_softmax(v["k"], v["l"], [[2, 0]], [2])), {"k": (1, 2, 2), "l": (3, 2)}),
-        ("blend", lambda v: T.sumall(T.mul(T.blend(MASK32[:, :1], v["c"], v["m"]), T.const(W32))), {"c": (3, 2), "m": (3, 2)}),
+        ("gru_sequence", lambda v: T.sumall(T.mul(_gru_sequence_of(v, reverse=True), T.const(W232))), SEQ_SHAPES),
         ("additive_scores", lambda v: T.sumall(T.mul(T.additive_scores(v["h"], v["n"], v["i"]), T.const(W23))), {"h": (2, 3, 2), "n": (2, 2), "i": (2,)}),
         ("pick_log_softmax_blocks", lambda v: T.sumall(T.mul(T.pick_log_softmax(v["h"], v["l"], [[1, 1, 3], [0, 2, 0]], [3, 2]), T.const(W23))), {"h": (2, 3, 2), "l": (4, 2)}),
         ("softmax_masked", lambda v: T.sumall(T.mul(T.softmax(v["p"], MASK23), T.const(W23))), {"p": (2, 3)}),
@@ -285,6 +311,7 @@ def test_tape_dtype_float32():
 
 
 def test_gru_step_equals_composed_primitives():
+    # checks the VJP from the gates the forward pass kept on the tape
     rng = np.random.default_rng(11)
     values = {k: rng.normal(scale=0.8, size=shape) for k, shape in GRU_SHAPES.items()}
     results = []
@@ -294,7 +321,59 @@ def test_gru_step_equals_composed_primitives():
         out = _gru_with_context(leaves, gru)
         loss = T.sumall(T.mul(out, T.const(W23)))
         results.append((out.data, T.gradients(tape, loss, leaves)))
+        with pytest.raises(ValueError, match="released"):
+            T.backward(tape, loss)
     (out, grads), (want_out, want_grads) = results
     np.testing.assert_allclose(out, want_out, rtol=1e-12)
     for k in values:
         np.testing.assert_allclose(grads[k], want_grads[k], rtol=1e-12, atol=1e-15, err_msg=k)
+
+
+# float32 runs both sides in single precision, summed in different orders;
+# over 60 random draws the gap was at most 3.5e-7 of each array's largest
+# entry (about 3 ulps), so 1e-5 leaves a wide margin.
+@pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("step", [T.gru, _composed_gru], ids=["gru", "composed"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_gru_sequence_equals_per_step_oracle(reverse, step, dtype, rel):
+    rng = np.random.default_rng(23 + reverse)
+    lengths = np.array([3, 6, 1, 4, 2, 5])  # every length 1..L in a padded batch
+    n, steps, hid = len(lengths), lengths.max(), 4
+    mask = (np.arange(steps) < lengths[:, None]).astype(np.int8)
+    shapes = {k: (n, steps, hid) for k in ("xz", "xr", "xc")}
+    shapes.update({k: (hid, hid) for k in ("uz", "ur", "uc")})
+    values = {k: rng.normal(scale=0.8, size=s) for k, s in shapes.items()}
+    g = rng.normal(size=(n, steps, hid))
+
+    def oracle(x, u, m, rev):
+        return per_step_gru_sequence(x, u, m, rev, step)
+
+    results = []
+    for seq in (T.gru_sequence, oracle):
+        tape = T.Tape(dtype)
+        leaves = {k: tape.var(v) for k, v in values.items()}
+        out = _gru_sequence_of(leaves, reverse, seq, mask)
+        loss = T.sumall(T.mul(out, T.const(g, dtype)))
+        results.append((out.data, T.gradients(tape, loss, leaves)))
+        with pytest.raises(ValueError, match="released"):
+            T.backward(tape, loss)
+    (out, grads), (want_out, want_grads) = results
+    assert out.dtype == dtype and all(grads[k].dtype == dtype for k in grads)
+    assert np.abs(out - want_out).max() <= rel * np.abs(want_out).max()
+    for k in values:
+        assert np.abs(grads[k] - want_grads[k]).max() <= rel * np.abs(want_grads[k]).max(), k
+    # padded positions: the state is carried (forward) or stays zero
+    # (reverse), and their input adjoints are zero
+    pad = mask == 0
+    assert np.all(grads["xz"][pad] == 0) and np.all(grads["xc"][pad] == 0)
+    if reverse:
+        assert np.all(out[pad] == 0)
+    else:
+        last = out[np.arange(n), lengths - 1]
+        assert np.array_equal(out[pad], np.repeat(last, steps - lengths, axis=0))
+
+
+def test_gru_sequence_needs_one_mask_entry_per_position():
+    v = {k: T.const(np.zeros(s)) for k, s in SEQ_SHAPES.items()}
+    with pytest.raises(T.ShapeError, match=r"\(2, 3, 2\).*\(2, 2\)"):
+        _gru_sequence_of(v, False, mask=np.ones((2, 2)))
