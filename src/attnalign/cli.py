@@ -195,7 +195,7 @@ def cmd_train(args):
             vocabs.append(corpus.build_vocab(c[f"train_{side}"], c["max_vocab"]))
     src_vocab, tgt_vocab = vocabs
 
-    pairs, _ = corpus.load_parallel(
+    pairs, n_lines = corpus.load_parallel(
         c["train_src"], c["train_tgt"], src_vocab, tgt_vocab, max_len=c["max_len"]
     )
     if not pairs:
@@ -206,7 +206,7 @@ def cmd_train(args):
     )
     sup = None
     if c["train_align"] is not None:
-        alignments = corpus.load_pharaoh_file(c["train_align"], pairs, flip=bool(c["pharaoh_flip"]))
+        alignments = corpus.load_pharaoh_file(c["train_align"], pairs, n_lines, flip=bool(c["pharaoh_flip"]))
         smooth = None
         if c["smoothing"]:
             smooth = supervision.SmoothingConfig(window=c["window"], sigma=c["sigma"])
@@ -275,13 +275,12 @@ def cmd_translate(args):
 
 def cmd_dump_attn(args):
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
-    pairs, _ = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
+    pairs, n_lines = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
     matrices = evaluation.dump_attention_all(params, pairs)
     supervision.write_matrices(matrices, args.out)
     if args.align_out:
         # one links line per input line, empty for a skipped pair (as translate does)
-        with open(args.src, encoding="utf-8") as fh:
-            lines = [""] * len(fh.read().splitlines())
+        lines = [""] * n_lines
         for pair, mat in zip(pairs, matrices):
             links = evaluation.extract_alignment(mat, threshold=args.threshold)
             lines[pair.pair_index] = corpus.format_pharaoh(links, flip=args.flip)

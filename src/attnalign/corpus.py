@@ -161,8 +161,8 @@ def encode_pair(src_line, tgt_line, src_vocab, tgt_vocab, pair_index=0):
 def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
     """Line-aligned corpus -> SentencePairs; empty or over-long pairs skipped.
 
-    Returns (pairs, kept_line_numbers); kept_line_numbers are the 0-based
-    input lines retained, so callers can subset a parallel alignment file.
+    Returns (pairs, line count); each pair's ``pair_index`` is its 0-based
+    input line, so callers can subset a parallel alignment file.
     """
     with open(src_path, encoding="utf-8") as fh:
         src_lines = fh.read().splitlines()
@@ -173,7 +173,7 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
             f"line count mismatch: {src_path} has {len(src_lines)}, "
             f"{tgt_path} has {len(tgt_lines)}"
         )
-    pairs, kept = [], []
+    pairs = []
     skipped_empty = skipped_long = 0
     for n, (s, t) in enumerate(zip(src_lines, tgt_lines)):
         for path, line in ((src_path, s), (tgt_path, t)):
@@ -187,12 +187,11 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
             skipped_long += 1
             continue
         pairs.append(pair)
-        kept.append(n)
     if skipped_empty:
         log.warning("skipped %d pairs with an empty side", skipped_empty)
     if skipped_long:
         log.warning("skipped %d pairs longer than %d tokens", skipped_long, max_len)
-    return pairs, kept
+    return pairs, len(src_lines)
 
 
 # ---------------------------------------------------------------------------
@@ -243,16 +242,17 @@ def format_pharaoh(alignment_or_links, flip=False):
     return " ".join(out)
 
 
-def load_pharaoh_file(path, pairs, flip=False):
+def load_pharaoh_file(path, pairs, n_lines, flip=False):
     """One HardAlignment per retained SentencePair, read from the line its
-    ``pair_index`` names (the file is line-aligned with the corpus)."""
+    ``pair_index`` names; the file must have the corpus's ``n_lines``
+    lines."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
+    if len(lines) != n_lines:
+        raise ValueError(f"line count mismatch: {path} has {len(lines)}, the corpus has {n_lines}")
     alignments = []
     for pair in pairs:
         n = pair.pair_index
-        if n >= len(lines):
-            raise ValueError(f"alignment file {path} has too few lines")
         try:
             alignments.append(
                 parse_pharaoh(lines[n], pair.src_len - 1, pair.tgt_len - 1, flip=flip)
@@ -300,8 +300,9 @@ def make_batch(pairs, supervision=None):
     return Batch(list(pairs), src_ids, tgt_ids, src_mask, tgt_mask, supervision)
 
 
-def make_batches(pairs, batch_size, bucket_by_length=False, seed=0, supervision=None):
-    """Deterministic batch list; optional length bucketing by source length.
+def make_batches(pairs, batch_size, seed=0, supervision=None):
+    """Deterministic batch list, bucketed by source length: a seeded
+    shuffle, stably sorted by length, cut into batches shuffled again.
 
     ``supervision``, when given, is indexed positionally parallel to
     ``pairs`` and carried into each batch.
@@ -313,8 +314,7 @@ def make_batches(pairs, batch_size, bucket_by_length=False, seed=0, supervision=
     order = list(range(len(pairs)))
     rng = random.Random(seed)
     rng.shuffle(order)
-    if bucket_by_length:
-        order.sort(key=lambda k: pairs[k].src_len)
+    order.sort(key=lambda k: pairs[k].src_len)
     chunks = [order[k : k + batch_size] for k in range(0, len(order), batch_size)]
     rng.shuffle(chunks)
     batches = []

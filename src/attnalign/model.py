@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .corpus import SentencePair, make_batch, pad
+from .corpus import pad
 
 INIT_SCALE = 0.08
 
@@ -167,23 +167,24 @@ class EncoderStates:
 
 @dataclass
 class DecoderTrace:
-    """A teacher-forced run. For a batch: log_probs (B, M), 0 past each
+    """A teacher-forced run over a Batch: log_probs (B, M), 0 past each
     target's end, and attention (B, M, L), whose rows past a target's end
-    are unused. For one pair: (m,) and (m, l)."""
+    are unused; ``src_lens`` and ``tgt_lens`` hold each sentence's real
+    lengths."""
 
     log_probs: T.Tensor
     attention: T.Tensor
     tape: T.Tape
     leaves: dict
-    src_lens: np.ndarray  # (B,), or None for one pair
-    tgt_lens: np.ndarray
+    src_lens: np.ndarray  # (B,)
+    tgt_lens: np.ndarray  # (B,)
 
 
 def _step(parts, t):
     return [T.take(p, np.s_[:, t]) for p in parts]
 
 
-def encode(src_ids, tv, dims, mask=None):
+def encode(src_ids, tv, mask=None):
     """Bidirectional GRU over padded sources (B, L), from zero initial
     states. The input projections run once per gate and direction over all
     positions, and each direction's recurrence is one ``gru_sequence`` node.
@@ -278,11 +279,11 @@ def decoder_inputs(tv, tgt_ids):
     return T.concat([first, T.embed(tv["tgt_emb"], np.asarray(tgt_ids)[:, :-1])], axis=1)
 
 
-def teacher_forced(tv, dims, batch, with_log_probs=True):
+def teacher_forced(tv, batch, with_log_probs=True):
     """The forward pass over a padded Batch; returns (log_probs, attention),
     log_probs (B, M) being None without ``with_log_probs``. The output layer
     runs once after the time loop, over the stacked decoder states."""
-    enc = encode(batch.src_ids, tv, dims, batch.src_mask)
+    enc = encode(batch.src_ids, tv, batch.src_mask)
     h_proj = attention_projection(enc, tv)
     y = decoder_inputs(tv, batch.tgt_ids)
     parts = target_projections(y, tv)
@@ -302,21 +303,12 @@ def teacher_forced(tv, dims, batch, with_log_probs=True):
 
 
 def forward_teacher_forced(params, batch):
-    """Run the model on a Batch, or on one SentencePair as a batch of one,
-    feeding reference target tokens; records on a fresh tape.
-
-    The first decoder input is a learned begin-of-sentence embedding. For
-    one pair the trace holds that sentence's (m,) log-probs and (m, l)
-    attention matrix. Deterministic.
-    """
-    single = isinstance(batch, SentencePair)
-    if single:
-        batch = make_batch([batch])
+    """Run the model on a Batch, feeding reference target tokens; records
+    on a fresh tape. The first decoder input is a learned begin-of-sentence
+    embedding. Deterministic."""
     tape = T.Tape(next(iter(params.tensors.values())).dtype)
     tv = bind(params, tape)
-    log_probs, attention = teacher_forced(tv, params.dims, batch)
-    if single:
-        return DecoderTrace(T.take(log_probs, 0), T.take(attention, 0), tape, tv, None, None)
+    log_probs, attention = teacher_forced(tv, batch)
     return DecoderTrace(log_probs, attention, tape, tv,
                         batch.src_mask.sum(axis=1), batch.tgt_mask.sum(axis=1))
 
@@ -327,7 +319,7 @@ def greedy_step_inputs(params, sources):
     tape."""
     tv = bind(params)
     src_ids, mask = pad(sources)
-    enc = encode(src_ids, tv, params.dims, mask)
+    enc = encode(src_ids, tv, mask)
     return tv, enc, attention_projection(enc, tv)
 
 

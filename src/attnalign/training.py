@@ -116,8 +116,8 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
     TRANS: negative sum of reference log-probabilities. ALIGN: weighted
     attention distance, one per sentence. JOINT: their sum. With weight 0,
     JOINT skips the alignment term entirely and is bit-identical to TRANS.
-    ``sup`` is a one-pair trace's supervision matrix, or a batch trace's
-    list of them.
+    ``sup`` is the batch's list of supervision matrices, one (m, l) array
+    per sentence, or None.
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"unknown objective {kind!r}")
@@ -140,12 +140,11 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
     return T.add(translation_term(), alignment_term())
 
 
-def _distances(trace, sup):
-    """Attention distances as a Tensor: one for a one-pair trace, (B,) for a
-    batch, each over its sentence's real (target, source) cells only."""
-    if trace.tgt_lens is None:
-        return attention_distance(trace.attention, sup)
-    target = np.zeros(trace.attention.data.shape, dtype=trace.attention.data.dtype)
+def _distances(trace, sup, attention=None):
+    """The (B,) attention distances of ``attention`` (by default the
+    trace's own), each over its sentence's real (target, source) cells."""
+    attention = trace.attention if attention is None else attention
+    target = np.zeros(attention.data.shape, dtype=attention.data.dtype)
     mask = np.zeros_like(target)
     for k, (m, l) in enumerate(zip(trace.tgt_lens, trace.src_lens)):
         if np.shape(sup[k]) != (m, l):
@@ -154,24 +153,21 @@ def _distances(trace, sup):
             )
         target[k, :m, :l] = sup[k]
         mask[k, :m, :l] = 1.0
-    return attention_distance(trace.attention, target, mask)
+    return attention_distance(attention, target, mask)
 
 
 def sentence_loss_parts(trace, sup):
     """(translation nll, alignment distance) summed over the trace's
-    sentences in order, as plain floats, for logging."""
-    if trace.tgt_lens is None:
-        lp, attn = [trace.log_probs.data], [trace.attention.data]
-        sup = None if sup is None else [sup]
-    else:
-        lp = [trace.log_probs.data[k, :m] for k, m in enumerate(trace.tgt_lens)]
-        attn = [trace.attention.data[k, :m, :l]
-                for k, (m, l) in enumerate(zip(trace.tgt_lens, trace.src_lens))]
-    nll = dist = 0.0
-    for k in range(len(lp)):
-        nll += -sum(lp[k].tolist())
-        dist += attention_distance(attn[k], sup[k]) if sup is not None else 0.0
-    return nll, dist
+    sentences in order, as plain floats, for logging. The distances are
+    the loss's masked ones on an untracked float64 view of the attention,
+    so a float32 run logs float64 sums as well."""
+    nll = 0.0
+    for k, m in enumerate(trace.tgt_lens):
+        nll += -sum(trace.log_probs.data[k, :m].tolist())
+    if sup is None:
+        return nll, 0.0
+    attention = T.Tensor(trace.attention.data.astype(np.float64, copy=False))
+    return nll, sum(_distances(trace, sup, attention).data.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +333,6 @@ def train_phase(params, pairs, supervision, phase, config, epoch_offset=0, log_f
         batches = make_batches(
             pairs,
             config.batch_size,
-            bucket_by_length=True,
             seed=config.seed + epoch_offset + e,
             supervision=supervision,
         )

@@ -19,6 +19,7 @@ from attnalign.corpus import (
     build_vocab,
     load_parallel,
     load_pharaoh_file,
+    make_batch,
     parse_pharaoh,
 )
 from attnalign.evaluation import (
@@ -120,7 +121,7 @@ def test_criterion_2_transform_invariants():
 
 def _joint_objective(leaves, dims, pair, sup, lam):
     """Joint loss rebuilt from the given leaf tensors (for gradient checking)."""
-    enc = M.encode([pair.src_ids], leaves, dims)
+    enc = M.encode([pair.src_ids], leaves)
     h_proj = M.attention_projection(enc, leaves)
     s = M.initial_state(enc, leaves)
     y_prev = T.take(leaves["bos_emb"], np.s_[None])
@@ -181,8 +182,8 @@ def test_criterion_3_gradient_correctness():
         report = T.finite_diff_check(f, dict(params.tensors), tolerance=1e-4, denom_eps=1e-4)
         worst = max(worst, report.worst)
 
-        trace = forward_teacher_forced(params, pair)
-        dist = attention_distance(trace.attention, sup)
+        trace = forward_teacher_forced(params, make_batch([pair]))
+        dist = attention_distance(T.take(trace.attention, 0), sup)
         grads = T.gradients(trace.tape, dist, trace.leaves)
         for name in partition_filter(params, "T"):
             t_grads_zero &= bool(np.all(grads[name] == 0.0))
@@ -279,8 +280,8 @@ def trend(tmp_path_factory):
 
     src_vocab = build_vocab(prefix + ".src", 50)
     tgt_vocab = build_vocab(prefix + ".tgt", 50)
-    pairs, _ = load_parallel(prefix + ".src", prefix + ".tgt", src_vocab, tgt_vocab)
-    alignments = load_pharaoh_file(prefix + ".align", pairs)
+    pairs, n_lines = load_parallel(prefix + ".src", prefix + ".tgt", src_vocab, tgt_vocab)
+    alignments = load_pharaoh_file(prefix + ".align", pairs, n_lines)
     sup = [
         smoothed_transform(complete_alignment(a), SmoothingConfig()) for a in alignments
     ]

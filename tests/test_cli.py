@@ -172,6 +172,18 @@ class TestTrain:
         for n in pa.names():
             assert np.array_equal(pa.tensors[n], pb.tensors[n]), n
 
+    @pytest.mark.parametrize("extra", [1, -1])
+    def test_alignment_line_count_mismatch_is_one_line_error(self, copy_corpus, tmp_path, caplog, extra):
+        align = tmp_path / "toy.align"
+        lines = align.read_text().splitlines()
+        lines = lines + ["0-0"] if extra > 0 else lines[:-1]
+        align.write_text("".join(line + "\n" for line in lines))
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m")
+        assert run("train", "--config", str(cfg)) == 2
+        assert f"line count mismatch: {align} has {12 + extra}, the corpus has 12" in caplog.text
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_alignment_schedule_without_alignments_fails(self, copy_corpus, tmp_path):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(

@@ -147,9 +147,10 @@ def test_load_parallel_skips_and_counts(tmp_path, caplog):
     src.write_text("a b\n\na b c d\na\n", encoding="utf-8")
     tgt.write_text("x\nx\nx\nx\n", encoding="utf-8")
     sv, tv = Vocab(["a", "b", "c", "d"]), Vocab(["x"])
-    pairs, kept = load_parallel(src, tgt, sv, tv, max_len=3)
+    pairs, n_lines = load_parallel(src, tgt, sv, tv, max_len=3)
     assert len(pairs) == 2
-    assert kept == [0, 3]
+    assert n_lines == 4
+    assert [p.pair_index for p in pairs] == [0, 3]
     assert all(p.src_ids[-1] == EOS_ID and p.tgt_ids[-1] == EOS_ID for p in pairs)
 
 
@@ -159,10 +160,10 @@ def test_alignment_follows_its_line_after_a_skipped_pair(tmp_path):
     tgt.write_text("x y\nx\ny x\n", encoding="utf-8")
     align.write_text("0-0 1-1\n\n0-1 1-0\n", encoding="utf-8")
     sv, tv = Vocab(["a", "b"]), Vocab(["x", "y"])
-    pairs, kept = load_parallel(src, tgt, sv, tv)
-    assert kept == [0, 2]
+    pairs, n_lines = load_parallel(src, tgt, sv, tv)
+    assert n_lines == 3
     assert [p.pair_index for p in pairs] == [0, 2]
-    alignments = load_pharaoh_file(align, pairs)
+    alignments = load_pharaoh_file(align, pairs, n_lines)
     assert alignments[1].links == {(2, 1), (1, 2)}
 
 
@@ -237,7 +238,7 @@ class TestBatches:
 
     def test_mask_sum_equals_token_count(self):
         pairs = self.pairs([2, 5, 3, 7, 4])
-        for batch in make_batches(pairs, 2, bucket_by_length=True, seed=3):
+        for batch in make_batches(pairs, 2, seed=3):
             assert batch.src_mask.sum() == sum(p.src_len for p in batch.pairs)
             assert batch.tgt_mask.sum() == sum(p.tgt_len for p in batch.pairs)
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from attnalign.corpus import EOS_ID, SentencePair
+from attnalign.corpus import EOS_ID, SentencePair, make_batch
 from attnalign.evaluation import (
     alignment_f1,
     bleu,
@@ -224,8 +224,8 @@ class TestDumpAttention:
         p = make_params(4)
         pair = SentencePair([3, 4, EOS_ID], [5, 6, EOS_ID])
         attn = dump_attention(p, pair)
-        trace = forward_teacher_forced(p, pair)
-        assert np.array_equal(attn, np.asarray(trace.attention.data))
+        trace = forward_teacher_forced(p, make_batch([pair]))
+        assert np.array_equal(attn, np.asarray(trace.attention.data[0]))
         assert attn.shape == (3, 3)
 
     def test_text_round_trip(self):

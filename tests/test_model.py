@@ -3,7 +3,7 @@ import pytest
 
 from attnalign import tensor as T
 from attnalign import model as M
-from attnalign.corpus import EOS_ID, SentencePair
+from attnalign.corpus import EOS_ID, SentencePair, make_batch
 from attnalign.model import (
     ModelDims,
     attend,
@@ -123,7 +123,7 @@ class TestEncoder:
     def test_single_token_shape(self):
         p = make_params()
         tape = T.Tape()
-        enc = encode([[EOS_ID]], M.bind(p, tape), p.dims)
+        enc = encode([[EOS_ID]], M.bind(p, tape))
         assert enc.h_mat.data.shape == (1, 1, 2 * p.dims.hidden)
 
     def test_zero_weights_give_zero_states(self):
@@ -131,14 +131,14 @@ class TestEncoder:
         for k in p.tensors:
             p.tensors[k] = np.zeros_like(p.tensors[k])
         tape = T.Tape()
-        enc = encode([[3, 4, EOS_ID]], M.bind(p, tape), p.dims)
+        enc = encode([[3, 4, EOS_ID]], M.bind(p, tape))
         np.testing.assert_array_equal(enc.h_mat.data, np.zeros((1, 3, 2 * p.dims.hidden)))
 
     def test_direction_symmetry_under_input_reversal(self):
         p = make_params(5)
         src = [3, 4, 5, 6, EOS_ID]
         tape = T.Tape()
-        enc = encode([src], M.bind(p, tape), p.dims)
+        enc = encode([src], M.bind(p, tape))
         h = p.dims.hidden
 
         swapped = p.copy()
@@ -146,7 +146,7 @@ class TestEncoder:
             swapped.tensors[f"enc_fwd.{gate}"] = p.tensors[f"enc_bwd.{gate}"]
             swapped.tensors[f"enc_bwd.{gate}"] = p.tensors[f"enc_fwd.{gate}"]
         tape2 = T.Tape()
-        enc2 = encode([src[::-1]], M.bind(swapped, tape2), p.dims)
+        enc2 = encode([src[::-1]], M.bind(swapped, tape2))
         # run2's backward chain reads the original order with run1's forward
         # weights, so its states mirror run1's forward states
         for k in range(len(src)):
@@ -160,7 +160,7 @@ class TestAttention:
         p = make_params()
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode([[EOS_ID]], tv, p.dims)
+        enc = encode([[EOS_ID]], tv)
         y_att = M.target_projections(tv["bos_emb"], tv)[0]
         att = attend(tape.var(np.zeros((1, p.dims.hidden))), enc, y_att, tv)
         np.testing.assert_array_equal(att.data, [[1.0]])
@@ -169,7 +169,7 @@ class TestAttention:
         p = make_params()
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode([[3, 3, 3]], tv, p.dims)
+        enc = encode([[3, 3, 3]], tv)
         # identical tokens: forward states differ, so force identical rows
         h = T.Tensor(np.tile(enc.h_mat.data[:, :1], (1, 3, 1)))
         enc_same = M.EncoderStates(h, enc.ctx_mat, enc.first_bwd, enc.mask)
@@ -183,7 +183,7 @@ class TestAttention:
         base = make_params(2)
 
         def f(leaves):
-            enc = encode([src], leaves, base.dims)
+            enc = encode([src], leaves)
             y_att = M.target_projections(leaves["bos_emb"], leaves)[0]
             att = attend(T.const(np.zeros((1, base.dims.hidden))), enc, y_att, leaves)
             return T.sumall(T.mul(att, T.const(weights)))
@@ -203,7 +203,7 @@ class TestAttention:
         p = make_params(7)
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode([[3, 4, 5, EOS_ID]], tv, p.dims)
+        enc = encode([[3, 4, 5, EOS_ID]], tv)
         alpha = T.const(np.array([[0.0, 0.0, 1.0, 0.0]]))
         ctx = attention_context(alpha, enc)
         h = p.dims.hidden
@@ -215,27 +215,26 @@ class TestForward:
     def test_log_likelihood_matches_numpy_oracle(self):
         p = make_params(11)
         pair = make_pair()
-        trace = forward_teacher_forced(p, pair)
-        got = sum(float(lp) for lp in trace.log_probs.data)
+        trace = forward_teacher_forced(p, make_batch([pair]))
+        got = sum(float(lp) for lp in trace.log_probs.data[0])
         want_logp, want_attn = oracle_forward(p, pair)
         assert got == pytest.approx(want_logp, rel=1e-12)
-        np.testing.assert_allclose(trace.attention.data, want_attn, atol=1e-12)
+        np.testing.assert_allclose(trace.attention.data[0], want_attn, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
-        trace = forward_teacher_forced(make_params(1), make_pair())
-        np.testing.assert_allclose(trace.attention.data.sum(axis=1), 1.0, atol=1e-6)
+        trace = forward_teacher_forced(make_params(1), make_batch([make_pair()]))
+        np.testing.assert_allclose(trace.attention.data[0].sum(axis=1), 1.0, atol=1e-6)
 
     def test_log_probs_non_positive(self):
-        trace = forward_teacher_forced(make_params(1), make_pair())
-        assert all(float(lp) <= 0 for lp in trace.log_probs.data)
+        trace = forward_teacher_forced(make_params(1), make_batch([make_pair()]))
+        assert all(float(lp) <= 0 for lp in trace.log_probs.data[0])
 
     def test_log_softmax_normalized(self):
         p = make_params(1)
-        trace = forward_teacher_forced(p, make_pair())
         # recompute one step's full distribution and check logsumexp == 0
         tape = T.Tape()
         tv = M.bind(p, tape)
-        enc = encode([make_pair().src_ids], tv, p.dims)
+        enc = encode([make_pair().src_ids], tv)
         s = M.initial_state(enc, tv)
         y = T.const(p.tensors["bos_emb"][None])
         s, _ = M.decode_step(s, M.target_projections(y, tv), enc, tv)
@@ -248,11 +247,11 @@ class TestForward:
         pair = SentencePair([3, 5, 3, 3, EOS_ID], [4, 4, 7, 4, EOS_ID])  # repeated ids
         def loss_of(trace):
             return T.add(T.neg(T.sumall(trace.log_probs)),
-                         attention_distance(trace.attention, np.full((5, 5), 0.2)))
+                         attention_distance(T.take(trace.attention, 0), np.full((5, 5), 0.2)))
 
-        trace = forward_teacher_forced(p, pair)
+        trace = forward_teacher_forced(p, make_batch([pair]))
         grads = T.gradients(trace.tape, loss_of(trace), trace.leaves)
-        again = forward_teacher_forced(p, pair)  # backward released the first tape
+        again = forward_teacher_forced(p, make_batch([pair]))  # backward released the first tape
         want = reference_backward(again.tape, loss_of(again))
         for name, leaf in trace.leaves.items():
             assert want[leaf.node] is not None, name
@@ -265,10 +264,10 @@ class TestForward:
 
     def test_deterministic(self):
         p = make_params(9)
-        t1 = forward_teacher_forced(p, make_pair())
-        t2 = forward_teacher_forced(p, make_pair())
+        t1 = forward_teacher_forced(p, make_batch([make_pair()]))
+        t2 = forward_teacher_forced(p, make_batch([make_pair()]))
         assert np.array_equal(t1.attention.data, t2.attention.data)
-        assert [float(a) for a in t1.log_probs.data] == [float(b) for b in t2.log_probs.data]
+        assert [float(a) for a in t1.log_probs.data[0]] == [float(b) for b in t2.log_probs.data[0]]
 
 
 class TestPartition:
@@ -285,9 +284,10 @@ class TestPartition:
     def test_alignment_loss_has_zero_gradient_on_t_partition(self):
         p = make_params(4)
         pair = make_pair()
-        trace = forward_teacher_forced(p, pair)
-        target = np.full(trace.attention.data.shape, 1.0 / trace.attention.data.shape[1])
-        d = attention_distance(trace.attention, target)
+        trace = forward_teacher_forced(p, make_batch([pair]))
+        attention = T.take(trace.attention, 0)
+        target = np.full(attention.data.shape, 1.0 / attention.data.shape[1])
+        d = attention_distance(attention, target)
         grads = T.gradients(trace.tape, d, trace.leaves)
         for name in partition_filter(p, "T"):
             assert np.all(grads[name] == 0.0), name

@@ -5,7 +5,7 @@ import pytest
 
 from attnalign import tensor as T
 from attnalign import training
-from attnalign.corpus import EOS_ID, SentencePair
+from attnalign.corpus import EOS_ID, SentencePair, make_batch, make_batches
 from attnalign.model import ModelDims, forward_teacher_forced, init_params, partition_filter
 from attnalign.supervision import HardAlignment, complete_alignment, simple_transform
 from attnalign.training import (
@@ -43,8 +43,8 @@ def tiny_corpus(n=6, seed=0):
 class TestSentenceLoss:
     def trace_and_sup(self):
         pairs, sup = tiny_corpus(1, seed=3)
-        trace = forward_teacher_forced(make_params(1), pairs[0])
-        return trace, sup[0]
+        trace = forward_teacher_forced(make_params(1), make_batch(pairs))
+        return trace, sup
 
     def test_joint_with_zero_weight_equals_translation(self):
         trace, sup = self.trace_and_sup()
@@ -54,7 +54,7 @@ class TestSentenceLoss:
 
     def test_alignment_loss_zero_at_perfect_match(self):
         trace, _ = self.trace_and_sup()
-        sup = np.asarray(trace.attention.data)
+        sup = [trace.attention.data[0]]
         loss = sentence_loss(trace, sup, training.ALIGNMENT, 1.0)
         assert float(loss.data) == 0.0
 
@@ -294,9 +294,31 @@ def test_batch_loss_matches_scalar_oracle():
 
     total_nll = total_dist = 0.0
     for pair, s in zip(pairs, sup):
-        trace = forward_teacher_forced(snapshot, pair)
-        total_nll += -sum(float(lp) for lp in trace.log_probs.data)
-        total_dist += float(np.sqrt(((np.asarray(trace.attention.data) - s) ** 2).sum()))
+        trace = forward_teacher_forced(snapshot, make_batch([pair]))
+        total_nll += -sum(float(lp) for lp in trace.log_probs.data[0])
+        total_dist += float(np.sqrt(((np.asarray(trace.attention.data[0]) - s) ** 2).sum()))
+    assert report.epochs[0].mean_translation_loss == pytest.approx(total_nll / 5, rel=1e-12)
+    assert report.epochs[0].mean_alignment_distance == pytest.approx(total_dist / 5, rel=1e-12)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_translation_phase_logs_match_scalar_oracle(dtype):
+    # supervision is given but not in the loss; the logged distance is still
+    # each sentence's own, summed in float64 at either parameter precision
+    params = init_params(DIMS, seed=6, dtype=dtype, init_scale=0.5)
+    pairs, sup = tiny_corpus(5, seed=4)
+    cfg = TrainConfig(schedule=[Phase(training.TRANSLATION, "T", 1)], batch_size=5, seed=9)
+    (batch,) = make_batches(pairs, 5, seed=9, supervision=sup)
+    trace = forward_teacher_forced(params, batch)  # the epoch's one forward, before its update
+    report = train_phase(params, pairs, sup, cfg.schedule[0], cfg)
+
+    total_nll = total_dist = 0.0
+    for k, (pair, s) in enumerate(zip(batch.pairs, batch.supervision)):
+        m, l = pair.tgt_len, pair.src_len
+        total_nll += -sum(float(lp) for lp in trace.log_probs.data[k, :m])
+        attn = trace.attention.data[k, :m, :l].astype(np.float64)
+        total_dist += float(np.sqrt(((attn - s) ** 2).sum()))
+    assert total_dist > 0.0
     assert report.epochs[0].mean_translation_loss == pytest.approx(total_nll / 5, rel=1e-12)
     assert report.epochs[0].mean_alignment_distance == pytest.approx(total_dist / 5, rel=1e-12)
 
@@ -353,12 +375,12 @@ def test_sentence_loss_and_gradient_do_not_depend_on_batch_mates():
     want_loss = 0.0
     for k, (pair, sup) in enumerate(zip(batch.pairs, batch.supervision)):
         m, l = pair.tgt_len, pair.src_len
-        one = forward_teacher_forced(params, pair)
-        nll, dist = training.sentence_loss_parts(one, sup)
+        one = forward_teacher_forced(params, make_batch([pair]))
+        nll, dist = training.sentence_loss_parts(one, [sup])
         assert -sum(trace.log_probs.data[k, :m].tolist()) == pytest.approx(nll, rel=1e-12)
         got_dist = float(np.sqrt(((trace.attention.data[k, :m, :l] - sup) ** 2).sum()))
         assert got_dist == pytest.approx(dist, rel=1e-12)
-        one_loss = sentence_loss(one, sup, training.JOINT, 0.7)
+        one_loss = sentence_loss(one, [sup], training.JOINT, 0.7)
         want_loss += float(one_loss.data)
         for n, g in T.gradients(one.tape, one_loss, one.leaves).items():
             want[n] += g
