@@ -149,12 +149,7 @@ def cmd_prepare(args):
 
 
 def cmd_transform_align(args):
-    with open(args.src, encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with open(args.tgt, encoding="utf-8") as fh:
-        tgt_lines = fh.read().splitlines()
-    with open(args.align, encoding="utf-8") as fh:
-        align_lines = fh.read().splitlines()
+    src_lines, tgt_lines, align_lines = map(corpus.read_lines, (args.src, args.tgt, args.align))
     if not (len(src_lines) == len(tgt_lines) == len(align_lines)):
         raise ValueError(
             f"line count mismatch: src={len(src_lines)} tgt={len(tgt_lines)} "
@@ -315,10 +310,8 @@ def cmd_score_align(args):
 
 
 def cmd_score_bleu(args):
-    with open(args.hyp, encoding="utf-8") as fh:
-        hyps = [line.split() for line in fh.read().splitlines()]
-    with open(args.ref, encoding="utf-8") as fh:
-        refs = [line.split() for line in fh.read().splitlines()]
+    hyps = [line.split() for line in corpus.read_lines(args.hyp)]
+    refs = [line.split() for line in corpus.read_lines(args.ref)]
     report = evaluation.bleu(hyps, refs)
     print(report.format_line())
     return 0

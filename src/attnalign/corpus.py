@@ -158,16 +158,21 @@ def encode_pair(src_line, tgt_line, src_vocab, tgt_vocab, pair_index=0):
     )
 
 
+def read_lines(path):
+    """A UTF-8 text file's lines without their ends, split at "\\n" only,
+    as iterating over the file splits them: a U+2028 or a form feed stays
+    inside its line."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh]
+
+
 def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
     """Line-aligned corpus -> SentencePairs; empty or over-long pairs skipped.
 
     Returns (pairs, line count); each pair's ``pair_index`` is its 0-based
     input line, so callers can subset a parallel alignment file.
     """
-    with open(src_path, encoding="utf-8") as fh:
-        src_lines = fh.read().splitlines()
-    with open(tgt_path, encoding="utf-8") as fh:
-        tgt_lines = fh.read().splitlines()
+    src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
     if len(src_lines) != len(tgt_lines):
         raise ValueError(
             f"line count mismatch: {src_path} has {len(src_lines)}, "
@@ -246,8 +251,7 @@ def load_pharaoh_file(path, pairs, n_lines, flip=False):
     """One HardAlignment per retained SentencePair, read from the line its
     ``pair_index`` names; the file must have the corpus's ``n_lines``
     lines."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if len(lines) != n_lines:
         raise ValueError(f"line count mismatch: {path} has {len(lines)}, the corpus has {n_lines}")
     alignments = []

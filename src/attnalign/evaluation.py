@@ -96,7 +96,7 @@ def dump_attention_all(params, pairs):
     mats = [None] * len(pairs)
     for chunk in _chunks([p.src_len for p in pairs]):
         batch = make_batch([pairs[k] for k in chunk])
-        _, attention = teacher_forced(tv, batch, with_log_probs=False)
+        *_, attention = teacher_forced(tv, batch, with_log_probs=False)
         for k, pair, mat in zip(chunk, batch.pairs, attention.data):
             mats[k] = mat[: pair.tgt_len, : pair.src_len]
     return mats

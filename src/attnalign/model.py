@@ -119,7 +119,7 @@ def init_params(dims, seed=0, dtype=np.float64, target_embedding_partition="A",
         if name.split(".")[-1].startswith("b"):
             tensors[name] = np.zeros(shape, dtype=dtype)
         else:
-            tensors[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(dtype)
+            tensors[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(dtype, copy=False)
         partition[name] = "T" if name in OUTPUT_TENSORS else "A"
     if target_embedding_partition not in ("A", "T"):
         raise ValueError("target_embedding_partition must be 'A' or 'T'")
@@ -167,12 +167,13 @@ class EncoderStates:
 
 @dataclass
 class DecoderTrace:
-    """A teacher-forced run over a Batch: log_probs (B, M), 0 past each
-    target's end, and attention (B, M, L), whose rows past a target's end
-    are unused; ``src_lens`` and ``tgt_lens`` hold each sentence's real
-    lengths."""
+    """A teacher-forced run over a Batch: the batch's summed NLL (0-d),
+    log_probs (B, M) as a plain array, 0 past each target's end, and
+    attention (B, M, L), whose rows past a target's end are unused;
+    ``src_lens`` and ``tgt_lens`` hold each sentence's real lengths."""
 
-    log_probs: T.Tensor
+    nll: T.Tensor
+    log_probs: np.ndarray
     attention: T.Tensor
     tape: T.Tape
     leaves: dict
@@ -279,10 +280,12 @@ def decoder_inputs(tv, tgt_ids):
     return T.concat([first, T.embed(tv["tgt_emb"], np.asarray(tgt_ids)[:, :-1])], axis=1)
 
 
-def teacher_forced(tv, batch, with_log_probs=True):
-    """The forward pass over a padded Batch; returns (log_probs, attention),
-    log_probs (B, M) being None without ``with_log_probs``. The output layer
-    runs once after the time loop, over the stacked decoder states."""
+def teacher_forced(tv, batch, with_log_probs=True, nll_grad=True):
+    """The forward pass over a padded Batch; returns (nll, log_probs,
+    attention) as ``tensor.pick_nll`` gives the first two, which are None
+    without ``with_log_probs``. The output layer runs once after the time
+    loop, over the stacked decoder states; without ``nll_grad`` it runs on
+    untracked inputs, so it takes no gradient products."""
     enc = encode(batch.src_ids, tv, batch.src_mask)
     h_proj = attention_projection(enc, tv)
     y = decoder_inputs(tv, batch.tgt_ids)
@@ -296,20 +299,22 @@ def teacher_forced(tv, batch, with_log_probs=True):
         alphas.append(alpha)
     attention = T.stack(alphas, axis=1)
     if not with_log_probs:
-        return None, attention
-    o = output_states(T.stack(states, axis=1), y, tv)
-    log_probs = T.pick_log_softmax(o, tv["out.W2"], batch.tgt_ids, batch.tgt_mask.sum(axis=1))
-    return log_probs, attention
+        return None, None, attention
+    o, w = output_states(T.stack(states, axis=1), y, tv), tv["out.W2"]
+    if not nll_grad:
+        o, w = T.Tensor(o.data), T.Tensor(w.data)
+    return (*T.pick_nll(o, w, batch.tgt_ids, batch.tgt_mask.sum(axis=1)), attention)
 
 
-def forward_teacher_forced(params, batch):
+def forward_teacher_forced(params, batch, nll_grad=True):
     """Run the model on a Batch, feeding reference target tokens; records
     on a fresh tape. The first decoder input is a learned begin-of-sentence
-    embedding. Deterministic."""
+    embedding. Deterministic. Without ``nll_grad`` the NLL is untracked,
+    for an objective that does not read it."""
     tape = T.Tape(next(iter(params.tensors.values())).dtype)
     tv = bind(params, tape)
-    log_probs, attention = teacher_forced(tv, batch)
-    return DecoderTrace(log_probs, attention, tape, tv,
+    nll, log_probs, attention = teacher_forced(tv, batch, nll_grad=nll_grad)
+    return DecoderTrace(nll, log_probs, attention, tape, tv,
                         batch.src_mask.sum(axis=1), batch.tgt_mask.sum(axis=1))
 
 
@@ -370,7 +375,7 @@ def _write_checkpoint(params, path):
             fh.write(nb)
             fh.write(struct.pack("<I", arr.ndim))
             fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+            fh.write(arr)
 
 
 def load_checkpoint(path, dtype=np.float32):

@@ -19,11 +19,11 @@ encoder-decoder model are provided:
 - recurrent layers that keep their gates for the VJP: gru (one GRU step
   from precomputed input projections) and gru_sequence (a whole masked GRU
   direction as one node, backprop through time in its VJP);
-- fused layers whose VJPs recompute their activations instead of keeping
-  them on the tape: additive_scores (attention scores) and
-  pick_log_softmax (reference-token log-likelihood under a vocabulary
-  projection, over the packed real rows of all blocks in chunks of bounded
-  size).
+- fused layers that keep no activation on the tape: additive_scores
+  (attention scores), whose VJP recomputes its tanh, and pick_nll (the
+  summed reference-token NLL under a vocabulary projection, over the
+  packed real rows of all blocks in chunks of bounded size), which takes
+  its gradients in the forward pass while each chunk's logits are at hand.
 """
 
 from __future__ import annotations
@@ -36,9 +36,13 @@ import numpy as np
 # sqrt(0) is finite instead of NaN.
 SQRT_BACKWARD_EPS = 1e-12
 
-# Bytes of logits pick_log_softmax holds at once: rows per chunk are this
+# Bytes of logits pick_nll holds at once: rows per chunk are this
 # over the vocabulary's row size (about 52 rows at V=20000 in float64).
 PICK_CHUNK_BYTES = 8 << 20
+
+# Bytes of the scratch that takes pick_nll's exps a few rows at a time, so
+# the logits stay in place (one row at V=20000 in float64).
+PICK_SCRATCH_BYTES = 256 << 10
 
 
 class ShapeError(ValueError):
@@ -488,65 +492,71 @@ def additive_scores(h_proj, base, v):
     return _record(out, _shared_vjps(compute, h_proj, base, v))
 
 
-def pick_log_softmax(h, w, ids, lengths):
-    """``log_softmax(h[k, t] @ w.T)[ids[k, t]]`` for the first ``lengths[k]``
-    rows t of every block k: (B, M, D), (V, D) and (B, M) ids -> (B, M), 0
-    past each block's length.
+def pick_nll(h, w, ids, lengths):
+    """The summed negative log-likelihood of ``ids`` under
+    ``log_softmax(h[k, t] @ w.T)`` over the first ``lengths[k]`` rows t of
+    every block k: (B, M, D), (V, D) and (B, M) ids -> a 0-d tensor, and
+    the (B, M) picked log-probs as a plain array, 0 past each block's length.
 
     The real rows of all blocks are packed into one (N, D) array and run in
-    chunks of ``PICK_CHUNK_BYTES`` worth of logits, in place in one reused
-    buffer. Only each row's max and log-sum-exp are kept; the VJP recomputes
-    a chunk's logits and adds into the ``w`` gradient once per chunk, so no
-    (N, V) array is ever held and padded rows cost nothing.
+    chunks of ``PICK_CHUNK_BYTES`` worth of logits, in one reused buffer.
+    A few rows at a time, the max-shifted logits' exps go into a small
+    scratch for the log-sum-exp. When ``h`` or ``w`` is tracked, those rows
+    then become softmax in place while they are in cache, the chunk loses
+    one at each row's picked id, and it goes into the (N, D) and (V, D)
+    gradients, which the VJP only scales by its adjoint. No (N, V) array
+    is ever held and padded rows cost nothing.
     """
     hd, wd = h.data, w.data
     ids = np.asarray(ids, dtype=np.intp)
     if hd.ndim != 3 or wd.ndim != 2 or ids.shape != hd.shape[:2] or hd.shape[2] != wd.shape[1]:
-        _check_shapes("pick_log_softmax", hd.shape, ids.shape)
+        _check_shapes("pick_nll", hd.shape, ids.shape)
     lens = np.asarray(lengths)
     if lens.shape != hd.shape[:1] or np.any(lens < 0) or np.any(lens > hd.shape[1]):
         raise ShapeError(
-            f"pick_log_softmax: lengths {lens.tolist()} do not fit {hd.shape[0]} blocks of {hd.shape[1]} rows"
+            f"pick_nll: lengths {lens.tolist()} do not fit {hd.shape[0]} blocks of {hd.shape[1]} rows"
         )
     real = np.arange(hd.shape[1]) < lens[:, None]
     rows, picks = hd[real], ids[real]
     n_rows = len(rows)
     dtype = np.result_type(hd, wd)
     step = max(1, PICK_CHUNK_BYTES // (wd.shape[0] * dtype.itemsize))
-    chunks = [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
-    top = np.empty(n_rows, dtype=hd.dtype)
+    track = h.tape is not None or w.tape is not None
+    few = max(1, PICK_SCRATCH_BYTES // (wd.shape[0] * dtype.itemsize)) if track else step
     lse = np.empty(n_rows, dtype=hd.dtype)
     picked = np.empty(n_rows, dtype=hd.dtype)
     buf = np.empty((min(step, n_rows), wd.shape[0]), dtype=dtype)
-    for a, b in chunks:
+    # untracked, the logits are not needed again and the exps overwrite them
+    scratch = np.empty((min(few, n_rows), wd.shape[0]), dtype=dtype) if track else buf
+    if track:
+        gh_rows, gw, part = np.empty_like(rows), np.zeros_like(wd), np.empty_like(wd)
+    for a in range(0, n_rows, step):
+        b = min(a + step, n_rows)
         z = np.matmul(rows[a:b], wd.T, out=buf[: b - a])
-        top[a:b] = z.max(axis=1)
-        z -= top[a:b, None]
-        picked[a:b] = z[np.arange(b - a), picks[a:b]]
-        lse[a:b] = np.log(np.exp(z, out=z).sum(axis=1))
+        z -= z.max(axis=1)[:, None]
+        at = np.arange(b - a), picks[a:b]
+        picked[a:b] = z[at]
+        for r in range(0, b - a, few):
+            zr = z[r : r + few]
+            sums = lse[a + r : a + r + len(zr)]
+            np.exp(zr, out=scratch[: len(zr)]).sum(axis=1, out=sums)
+            np.log(sums, out=sums)
+            if track:
+                zr -= sums[:, None]
+                np.exp(zr, out=zr)
+        if track:
+            z[at] -= 1.0
+            np.matmul(z, wd, out=gh_rows[a:b])
+            gw += np.matmul(z.T, rows[a:b], out=part)
     out = np.zeros(ids.shape, dtype=hd.dtype)
     out[real] = picked - lse
 
     def compute(g):
-        g = g[real]
-        gh_rows = np.empty_like(rows)
-        gw = np.zeros_like(wd)
-        part = np.empty_like(wd)
-        buf = np.empty((min(step, n_rows), wd.shape[0]), dtype=dtype)
-        for a, b in chunks:
-            d = np.matmul(rows[a:b], wd.T, out=buf[: b - a])
-            d -= top[a:b, None]
-            d -= lse[a:b, None]
-            np.exp(d, out=d)
-            d *= -g[a:b, None]
-            d[np.arange(b - a), picks[a:b]] += g[a:b]
-            np.matmul(d, wd, out=gh_rows[a:b])
-            gw += np.matmul(d.T, rows[a:b], out=part)
         gh = np.zeros_like(hd)
-        gh[real] = gh_rows
-        return gh, gw
+        gh[real] = gh_rows * g
+        return gh, np.multiply(gw, g, out=gw)
 
-    return _record(out, _shared_vjps(compute, h, w))
+    return _record(np.asarray(-out.sum()), _shared_vjps(compute, h, w)), out
 
 
 # ---------------------------------------------------------------------------

@@ -121,23 +121,12 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"unknown objective {kind!r}")
-    need_align = kind == ALIGNMENT or (kind == JOINT and align_weight != 0.0)
-    if need_align and sup is None:
+    if kind == TRANSLATION or (kind == JOINT and align_weight == 0.0):
+        return trace.nll
+    if sup is None:
         raise ValueError(f"{kind} objective requires a supervision matrix")
-
-    def translation_term():
-        return T.neg(T.sumall(trace.log_probs))
-
-    def alignment_term():
-        return T.scale(T.sumall(_distances(trace, sup)), align_weight)
-
-    if kind == TRANSLATION:
-        return translation_term()
-    if kind == ALIGNMENT:
-        return alignment_term()
-    if align_weight == 0.0:
-        return translation_term()
-    return T.add(translation_term(), alignment_term())
+    align = T.scale(T.sumall(_distances(trace, sup)), align_weight)
+    return align if kind == ALIGNMENT else T.add(trace.nll, align)
 
 
 def _distances(trace, sup, attention=None):
@@ -163,7 +152,7 @@ def sentence_loss_parts(trace, sup):
     so a float32 run logs float64 sums as well."""
     nll = 0.0
     for k, m in enumerate(trace.tgt_lens):
-        nll += -sum(trace.log_probs.data[k, :m].tolist())
+        nll += -sum(trace.log_probs[k, :m].tolist())
     if sup is None:
         return nll, 0.0
     attention = T.Tensor(trace.attention.data.astype(np.float64, copy=False))
@@ -308,7 +297,7 @@ def batch_step(params, batch, phase, config, state, trainable):
     Batch loss is the mean of per-sentence losses; returns summed
     (translation nll, alignment distance) for logging.
     """
-    trace = forward_teacher_forced(params, batch)
+    trace = forward_teacher_forced(params, batch, nll_grad=phase.objective != ALIGNMENT)
     loss = sentence_loss(trace, batch.supervision, phase.objective, config.align_weight)
     g = T.gradients(trace.tape, loss, {n: trace.leaves[n] for n in trainable})
     # scaled into new arrays (leaf adjoints may share memory), releasing each

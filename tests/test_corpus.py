@@ -167,6 +167,20 @@ def test_alignment_follows_its_line_after_a_skipped_pair(tmp_path):
     assert alignments[1].links == {(2, 1), (1, 2)}
 
 
+def test_lines_split_at_newline_only(tmp_path):
+    # a U+2028 inside a line is whitespace between tokens, not a line end
+    src, tgt, align = tmp_path / "s", tmp_path / "t", tmp_path / "a"
+    src.write_text("a\u2028b\nb\n", encoding="utf-8")
+    tgt.write_text("x y\ny\n", encoding="utf-8")
+    align.write_text("0-0\u20281-1\n0-0\n", encoding="utf-8")
+    sv, tv = Vocab(["a", "b"]), Vocab(["x", "y"])
+    pairs, n_lines = load_parallel(src, tgt, sv, tv)
+    assert n_lines == 2
+    assert [p.src_ids for p in pairs] == [[3, 4, EOS_ID], [4, EOS_ID]]
+    alignments = load_pharaoh_file(align, pairs, n_lines)
+    assert [a.links for a in alignments] == [{(1, 1), (2, 2)}, {(1, 1)}]
+
+
 class TestPharaoh:
     def test_basic_parse(self):
         a = parse_pharaoh("0-0 1-1", 2, 2)

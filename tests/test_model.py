@@ -216,7 +216,7 @@ class TestForward:
         p = make_params(11)
         pair = make_pair()
         trace = forward_teacher_forced(p, make_batch([pair]))
-        got = sum(float(lp) for lp in trace.log_probs.data[0])
+        got = sum(float(lp) for lp in trace.log_probs[0])
         want_logp, want_attn = oracle_forward(p, pair)
         assert got == pytest.approx(want_logp, rel=1e-12)
         np.testing.assert_allclose(trace.attention.data[0], want_attn, atol=1e-12)
@@ -227,7 +227,7 @@ class TestForward:
 
     def test_log_probs_non_positive(self):
         trace = forward_teacher_forced(make_params(1), make_batch([make_pair()]))
-        assert all(float(lp) <= 0 for lp in trace.log_probs.data[0])
+        assert all(float(lp) <= 0 for lp in trace.log_probs[0])
 
     def test_log_softmax_normalized(self):
         p = make_params(1)
@@ -246,7 +246,7 @@ class TestForward:
         p = init_params(DIMS, seed=4, dtype=dtype, init_scale=0.5)
         pair = SentencePair([3, 5, 3, 3, EOS_ID], [4, 4, 7, 4, EOS_ID])  # repeated ids
         def loss_of(trace):
-            return T.add(T.neg(T.sumall(trace.log_probs)),
+            return T.add(trace.nll,
                          attention_distance(T.take(trace.attention, 0), np.full((5, 5), 0.2)))
 
         trace = forward_teacher_forced(p, make_batch([pair]))
@@ -267,7 +267,7 @@ class TestForward:
         t1 = forward_teacher_forced(p, make_batch([make_pair()]))
         t2 = forward_teacher_forced(p, make_batch([make_pair()]))
         assert np.array_equal(t1.attention.data, t2.attention.data)
-        assert [float(a) for a in t1.log_probs.data[0]] == [float(b) for b in t2.log_probs.data[0]]
+        assert [float(a) for a in t1.log_probs[0]] == [float(b) for b in t2.log_probs[0]]
 
 
 class TestPartition:
@@ -356,7 +356,7 @@ def test_padded_batch_matches_numpy_oracle():
     for k, pair in enumerate(pairs):
         want_logp, want_attn = oracle_forward(p, pair)
         m, l = pair.tgt_len, pair.src_len
-        got = trace.log_probs.data[k]
+        got = trace.log_probs[k]
         assert sum(float(lp) for lp in got[:m]) == pytest.approx(want_logp, rel=1e-12)
         assert np.all(got[m:] == 0.0)
         np.testing.assert_allclose(trace.attention.data[k, :m, :l], want_attn, atol=1e-12)

@@ -151,10 +151,10 @@ def _gru_with_context(v, gru):
         ("add_rowvec", lambda v: T.sumall(T.square(T.add(v["c"], v["i"]))), {"c": (3, 2), "i": (2,)}),
         ("row", lambda v: T.sumall(T.square(T.take(v["c"], 1))), {"c": (3, 2)}),
         ("log_softmax_rows", lambda v: T.sumall(T.mul(T.log_softmax(v["c"]), T.const(W32))), {"c": (3, 2)}),
-        ("pick_rows", lambda v: T.sumall(T.pick_log_softmax(v["k"], v["l"], [[2, 0]], [2])), {"k": (1, 2, 2), "l": (3, 2)}),
+        ("pick_rows", lambda v: T.pick_nll(v["k"], v["l"], [[2, 0]], [2])[0], {"k": (1, 2, 2), "l": (3, 2)}),
         ("gru_sequence", lambda v: T.sumall(T.mul(_gru_sequence_of(v, reverse=True), T.const(W232))), SEQ_SHAPES),
         ("additive_scores", lambda v: T.sumall(T.mul(T.additive_scores(v["h"], v["n"], v["i"]), T.const(W23))), {"h": (2, 3, 2), "n": (2, 2), "i": (2,)}),
-        ("pick_log_softmax_blocks", lambda v: T.sumall(T.mul(T.pick_log_softmax(v["h"], v["l"], [[1, 1, 3], [0, 2, 0]], [3, 2]), T.const(W23))), {"h": (2, 3, 2), "l": (4, 2)}),
+        ("pick_log_softmax_blocks", lambda v: T.scale(T.pick_nll(v["h"], v["l"], [[1, 1, 3], [0, 2, 0]], [3, 2])[0], 0.7), {"h": (2, 3, 2), "l": (4, 2)}),
         ("softmax_masked", lambda v: T.sumall(T.mul(T.softmax(v["p"], MASK23), T.const(W23))), {"p": (2, 3)}),
         ("matvec_nd", lambda v: T.sumall(T.square(T.matvec(v["a"], v["h"]))), {"a": (3, 2), "h": (2, 3, 2)}),
         ("embed_2d_ids", lambda v: T.sumall(T.mul(T.embed(v["c"], [[2, 0, 2], [1, 2, 0]]), T.const(W232))), {"c": (3, 2)}),
@@ -214,19 +214,70 @@ def test_backward_returns_only_leaf_adjoints():
 
 def test_pick_needs_one_id_per_row():
     with pytest.raises(T.ShapeError):
-        T.pick_log_softmax(T.const(np.zeros((1, 2, 3))), T.const(np.zeros((4, 3))), [[0, 1, 2]], [2])
+        T.pick_nll(T.const(np.zeros((1, 2, 3))), T.const(np.zeros((4, 3))), [[0, 1, 2]], [2])
 
 
 @pytest.mark.parametrize("lengths", [[2], [2, 1, 0], [2, 3], [-1, 2]])
 def test_pick_needs_one_length_per_block_within_its_rows(lengths):
     h, w = T.const(np.zeros((2, 2, 3))), T.const(np.zeros((4, 3)))
     with pytest.raises(T.ShapeError, match="lengths"):
-        T.pick_log_softmax(h, w, [[0, 1], [2, 3]], lengths)
+        T.pick_nll(h, w, [[0, 1], [2, 3]], lengths)
+
+
+def pick_log_softmax(h, w, ids, lengths):
+    """Oracle, the output layer before ``T.pick_nll``: the (B, M) tensor
+    ``log_softmax(h[k, t] @ w.T)[ids[k, t]]`` over the first ``lengths[k]``
+    rows of every block, 0 past them, over the packed real rows in chunks
+    of ``T.PICK_CHUNK_BYTES`` worth of logits. Only each row's max and
+    log-sum-exp are kept; the VJP recomputes a chunk's logits to take its
+    gradient products."""
+    hd, wd = h.data, w.data
+    ids = np.asarray(ids, dtype=np.intp)
+    lens = np.asarray(lengths)
+    real = np.arange(hd.shape[1]) < lens[:, None]
+    rows, picks = hd[real], ids[real]
+    n_rows = len(rows)
+    dtype = np.result_type(hd, wd)
+    step = max(1, T.PICK_CHUNK_BYTES // (wd.shape[0] * dtype.itemsize))
+    chunks = [(a, min(a + step, n_rows)) for a in range(0, n_rows, step)]
+    top = np.empty(n_rows, dtype=hd.dtype)
+    lse = np.empty(n_rows, dtype=hd.dtype)
+    picked = np.empty(n_rows, dtype=hd.dtype)
+    buf = np.empty((min(step, n_rows), wd.shape[0]), dtype=dtype)
+    for a, b in chunks:
+        z = np.matmul(rows[a:b], wd.T, out=buf[: b - a])
+        top[a:b] = z.max(axis=1)
+        z -= top[a:b, None]
+        picked[a:b] = z[np.arange(b - a), picks[a:b]]
+        lse[a:b] = np.log(np.exp(z, out=z).sum(axis=1))
+    out = np.zeros(ids.shape, dtype=hd.dtype)
+    out[real] = picked - lse
+
+    def compute(g):
+        g = g[real]
+        gh_rows = np.empty_like(rows)
+        gw = np.zeros_like(wd)
+        part = np.empty_like(wd)
+        buf = np.empty((min(step, n_rows), wd.shape[0]), dtype=dtype)
+        for a, b in chunks:
+            d = np.matmul(rows[a:b], wd.T, out=buf[: b - a])
+            d -= top[a:b, None]
+            d -= lse[a:b, None]
+            np.exp(d, out=d)
+            d *= -g[a:b, None]
+            d[np.arange(b - a), picks[a:b]] += g[a:b]
+            np.matmul(d, wd, out=gh_rows[a:b])
+            gw += np.matmul(d.T, rows[a:b], out=part)
+        gh = np.zeros_like(hd)
+        gh[real] = gh_rows
+        return gh, gw
+
+    return T._record(out, T._shared_vjps(compute, h, w))
 
 
 def per_block_pick_log_softmax(hd, wd, ids, lengths, g):
-    """Oracle: the log-probs and the (h, w) gradients of pick_log_softmax
-    against an output adjoint ``g``, one block of rows at a time."""
+    """Oracle: the log-probs and the (h, w) gradients of the output layer
+    against an adjoint ``g`` of its log-probs, one block of rows at a time."""
     out = np.zeros(ids.shape)
     gh, gw = np.zeros_like(hd), np.zeros_like(wd)
     for k, n in enumerate(lengths):
@@ -242,6 +293,21 @@ def per_block_pick_log_softmax(hd, wd, ids, lengths, g):
     return out, gh, gw
 
 
+def nll_and_gradients(layer, hd, wd, ids, lengths, adjoint):
+    """(nll, log-probs, h gradient, w gradient) of ``adjoint`` times the
+    summed NLL, from ``T.pick_nll`` or from the ``pick_log_softmax`` oracle."""
+    tape = T.Tape(hd.dtype)
+    h, w = tape.var(hd), tape.var(wd)
+    if layer is T.pick_nll:
+        nll, log_probs = T.pick_nll(h, w, ids, lengths)
+    else:
+        out = layer(h, w, ids, lengths)
+        nll, log_probs = T.neg(T.sumall(out)), out.data
+    loss = nll if adjoint == 1.0 else T.scale(nll, adjoint)
+    grads = T.gradients(tape, loss, {"h": h, "w": w})
+    return nll.data, log_probs, grads["h"], grads["w"]
+
+
 @pytest.mark.parametrize("rows_per_chunk", [None, 3])
 @pytest.mark.parametrize("vocab", [30, 5000])
 def test_packed_pick_log_softmax_equals_per_block_oracle(monkeypatch, vocab, rows_per_chunk):
@@ -252,16 +318,19 @@ def test_packed_pick_log_softmax_equals_per_block_oracle(monkeypatch, vocab, row
     hd = rng.normal(size=(4, 7, 6))
     wd = rng.normal(scale=0.5, size=(vocab, 6))
     ids = rng.integers(0, vocab, size=(4, 7))
-    g = rng.normal(size=(4, 7))
-    tape = T.Tape()
-    h, w = tape.var(hd), tape.var(wd)
-    out = T.pick_log_softmax(h, w, ids, lengths)
-    grads = T.gradients(tape, T.sumall(T.mul(out, T.const(g))), {"h": h, "w": w})
-    want = per_block_pick_log_softmax(hd, wd, ids, lengths, g)
-    for got, ref in zip((out.data, grads["h"], grads["w"]), want):
-        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
     real = np.arange(7) < np.array(lengths)[:, None]
-    assert np.all(out.data[~real] == 0.0) and np.all(grads["h"][~real] == 0.0)
+    # at adjoint 1.0 the fused layer does the oracle's arithmetic in its order
+    for dtype in (np.float64, np.float32):
+        args = (hd.astype(dtype), wd.astype(dtype), ids, lengths, 1.0)
+        got = nll_and_gradients(T.pick_nll, *args)
+        for a, b in zip(got, nll_and_gradients(pick_log_softmax, *args)):
+            assert a.dtype == dtype and np.array_equal(a, b)
+        assert np.all(got[1][~real] == 0.0) and np.all(got[2][~real] == 0.0)
+    got = nll_and_gradients(T.pick_nll, hd, wd, ids, lengths, 0.37)
+    oracle = nll_and_gradients(pick_log_softmax, hd, wd, ids, lengths, 0.37)
+    blocks = per_block_pick_log_softmax(hd, wd, ids, lengths, np.full(ids.shape, -0.37))
+    for a, b in [*zip(got, oracle), *zip(got[1:], blocks)]:
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_broadcast_operand_gets_summed_adjoint():

@@ -295,7 +295,7 @@ def test_batch_loss_matches_scalar_oracle():
     total_nll = total_dist = 0.0
     for pair, s in zip(pairs, sup):
         trace = forward_teacher_forced(snapshot, make_batch([pair]))
-        total_nll += -sum(float(lp) for lp in trace.log_probs.data[0])
+        total_nll += -sum(float(lp) for lp in trace.log_probs[0])
         total_dist += float(np.sqrt(((np.asarray(trace.attention.data[0]) - s) ** 2).sum()))
     assert report.epochs[0].mean_translation_loss == pytest.approx(total_nll / 5, rel=1e-12)
     assert report.epochs[0].mean_alignment_distance == pytest.approx(total_dist / 5, rel=1e-12)
@@ -315,12 +315,33 @@ def test_translation_phase_logs_match_scalar_oracle(dtype):
     total_nll = total_dist = 0.0
     for k, (pair, s) in enumerate(zip(batch.pairs, batch.supervision)):
         m, l = pair.tgt_len, pair.src_len
-        total_nll += -sum(float(lp) for lp in trace.log_probs.data[k, :m])
+        total_nll += -sum(float(lp) for lp in trace.log_probs[k, :m])
         attn = trace.attention.data[k, :m, :l].astype(np.float64)
         total_dist += float(np.sqrt(((attn - s) ** 2).sum()))
     assert total_dist > 0.0
     assert report.epochs[0].mean_translation_loss == pytest.approx(total_nll / 5, rel=1e-12)
     assert report.epochs[0].mean_alignment_distance == pytest.approx(total_dist / 5, rel=1e-12)
+
+
+@pytest.mark.parametrize("objective,products", [(training.ALIGNMENT, 1), (training.JOINT, 3)])
+def test_output_layer_takes_gradient_products_only_for_an_objective_that_reads_the_nll(
+        monkeypatch, objective, products):
+    # ALIGN takes only each chunk's logits product, and logs the same NLL
+    params = make_params(6)
+    pairs, sup = tiny_corpus(5, seed=4)
+    (batch,) = make_batches(pairs, 5, seed=9, supervision=sup)
+    want = training.sentence_loss_parts(forward_teacher_forced(params, batch), batch.supervision)[0]
+    monkeypatch.setattr(T, "PICK_CHUNK_BYTES", 3 * DIMS.tgt_vocab * 8)
+    chunks = -(-int(batch.tgt_mask.sum()) // 3)
+    calls = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **k: calls.append(1) or matmul(*a, **k))
+    phase = Phase(objective, "A", 1)
+    cfg = TrainConfig(schedule=[phase], batch_size=5)
+    trainable = partition_filter(params, "A")
+    nll, _ = training.batch_step(params, batch, phase, cfg, AdaDeltaState(), trainable)
+    assert chunks > 1 and len(calls) == products * chunks
+    assert nll == want
 
 
 def test_phase_reports_skipped_batches(caplog):
@@ -377,7 +398,7 @@ def test_sentence_loss_and_gradient_do_not_depend_on_batch_mates():
         m, l = pair.tgt_len, pair.src_len
         one = forward_teacher_forced(params, make_batch([pair]))
         nll, dist = training.sentence_loss_parts(one, [sup])
-        assert -sum(trace.log_probs.data[k, :m].tolist()) == pytest.approx(nll, rel=1e-12)
+        assert -sum(trace.log_probs[k, :m].tolist()) == pytest.approx(nll, rel=1e-12)
         got_dist = float(np.sqrt(((trace.attention.data[k, :m, :l] - sup) ** 2).sum()))
         assert got_dist == pytest.approx(dist, rel=1e-12)
         one_loss = sentence_loss(one, [sup], training.JOINT, 0.7)
