@@ -77,7 +77,7 @@ TRAIN_KEYS = {
     "attn": (int, 64, _POSITIVE),
     "out": (int, 64, _POSITIVE),
     "precision": (int, 64, (lambda v: v in (32, 64), "must be 32 or 64")),
-    "init_scale": (float, 0.08, None),
+    "init_scale": (float, 0.08, (lambda v: v > 0, "must be > 0")),
     "seed": (int, 0, None),
     "schedule": (str, "J", None),
     "epochs": (int, 10, _NON_NEGATIVE),
@@ -85,14 +85,14 @@ TRAIN_KEYS = {
     "batch_size": (int, 80, _POSITIVE),
     "rho": (float, 0.95, (lambda v: 0 < v < 1, "must be in (0, 1)")),
     "eps": (float, 1e-6, (lambda v: v > 0, "must be > 0")),
-    "clip_norm": (float, training.DEFAULT_CLIP_NORM, None),
+    "clip_norm": (float, training.DEFAULT_CLIP_NORM, None),  # <= 0 turns clipping off
 }
 
 
 def train_settings(path, cfg):
     """Every TRAIN_KEYS value, typed and checked, defaults filled in, and
-    the schedule parsed; an unknown key or a bad value raises
-    ``path:LINE: reason``."""
+    the schedule parsed; an unknown key or a bad value, such as a float
+    that is not finite, raises ``path:LINE: reason``."""
     for key in cfg:
         if key not in TRAIN_KEYS:
             raise ValueError(f"{path}:{cfg.lines[key]}: unknown key {key!r}")
@@ -108,6 +108,8 @@ def train_settings(path, cfg):
             value = cast(cfg[key])
         except ValueError:
             raise ValueError(f"{where}: {key} must be {cast.__name__}, got {cfg[key]!r}") from None
+        if cast is float and not np.isfinite(value):
+            raise ValueError(f"{where}: {key} must be finite, got {cfg[key]!r}")
         if check is not None and not check[0](value):
             raise ValueError(f"{where}: {key} {check[1]}, got {cfg[key]!r}")
         out[key] = value

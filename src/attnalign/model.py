@@ -148,8 +148,8 @@ def bind(params, tape=None):
 # forward pass
 #
 # Every function below runs a whole batch at once: sources are padded (B, L)
-# id arrays with a (B, L) mask, targets (B, M), and each decoder step is one
-# set of (B, .) nodes. Sentences never mix: the encoder carries its states
+# id arrays with a (B, L) mask, targets (B, M), and a greedy decoder step is
+# one set of (B, .) nodes. Sentences never mix: the encoder carries its states
 # across padding, attention gives padded source positions exactly 0, and the
 # losses read only real rows, so a sentence's numbers do not depend on its
 # batch mates.
@@ -179,10 +179,6 @@ class DecoderTrace:
     leaves: dict
     src_lens: np.ndarray  # (B,)
     tgt_lens: np.ndarray  # (B,)
-
-
-def _step(parts, t):
-    return [T.take(p, np.s_[:, t]) for p in parts]
 
 
 def encode(src_ids, tv, mask=None):
@@ -283,24 +279,24 @@ def decoder_inputs(tv, tgt_ids):
 def teacher_forced(tv, batch, with_log_probs=True, nll_grad=True):
     """The forward pass over a padded Batch; returns (nll, log_probs,
     attention) as ``tensor.pick_nll`` gives the first two, which are None
-    without ``with_log_probs``. The output layer runs once after the time
-    loop, over the stacked decoder states; without ``nll_grad`` it runs on
-    untracked inputs, so it takes no gradient products."""
+    without ``with_log_probs``. Every decoder step runs in one
+    ``tensor.attention_decoder`` node, and the output layer once after it,
+    over all the decoder states; without ``nll_grad`` the output layer runs
+    on untracked inputs, so it takes no gradient products."""
     enc = encode(batch.src_ids, tv, batch.src_mask)
     h_proj = attention_projection(enc, tv)
     y = decoder_inputs(tv, batch.tgt_ids)
     parts = target_projections(y, tv)
     ctx_w = context_weights(tv)
     s = initial_state(enc, tv)
-    states, alphas = [], []
-    for t in range(batch.tgt_ids.shape[1]):
-        s, alpha = decode_step(s, _step(parts, t), enc, tv, h_proj, ctx_w)
-        states.append(s)
-        alphas.append(alpha)
-    attention = T.stack(alphas, axis=1)
+    u = [tv[f"dec.U{g}"] for g in GATES]
+    run = T.attention_decoder(s, parts, h_proj, enc.ctx_mat, enc.mask, tv["attn.Ws"],
+                              tv["attn.v"], u, ctx_w)
+    hid = s.data.shape[-1]
+    attention = T.take(run, np.s_[..., hid:])
     if not with_log_probs:
         return None, None, attention
-    o, w = output_states(T.stack(states, axis=1), y, tv), tv["out.W2"]
+    o, w = output_states(T.take(run, np.s_[..., :hid]), y, tv), tv["out.W2"]
     if not nll_grad:
         o, w = T.Tensor(o.data), T.Tensor(w.data)
     return (*T.pick_nll(o, w, batch.tgt_ids, batch.tgt_mask.sum(axis=1)), attention)

@@ -16,9 +16,11 @@ encoder-decoder model are provided:
   once in the VJP);
 - reductions: sumall (over all or the given axes), softmax (last axis,
   optionally masked), log_softmax (last axis);
-- recurrent layers that keep their gates for the VJP: gru (one GRU step
-  from precomputed input projections) and gru_sequence (a whole masked GRU
-  direction as one node, backprop through time in its VJP);
+- recurrent layers that keep their gates for the VJP, backprop through
+  time in the VJP of a whole sequence: gru (one GRU step from precomputed
+  input projections), gru_sequence (a whole masked GRU direction) and
+  attention_decoder (every teacher-forced step of the attention decoder,
+  whose VJP recomputes each step's attention tanh);
 - fused layers that keep no activation on the tape: additive_scores
   (attention scores), whose VJP recomputes its tanh, and pick_nll (the
   summed reference-token NLL under a vocabulary projection, over the
@@ -78,6 +80,7 @@ class Tape:
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._nodes = []
+        self.leaves = 0
 
     def __len__(self):
         return len(self._nodes)
@@ -87,6 +90,7 @@ class Tape:
         data = np.asarray(value, dtype=self.dtype)
         nid = len(self._nodes)
         self._nodes.append(())
+        self.leaves += 1
         return Tensor(data, self, nid)
 
 
@@ -492,6 +496,85 @@ def additive_scores(h_proj, base, v):
     return _record(out, _shared_vjps(compute, h_proj, base, v))
 
 
+def attention_decoder(s0, y_parts, h_proj, ctx_mat, mask, ws, v, u, w_ctx):
+    """Every step of a teacher-forced attention decoder as one node: ``s0``
+    (B, H) is the initial state, ``y_parts`` the (B, M, .) target
+    projections (y_att, y_z, y_r, y_c), ``h_proj`` (B, L, A) and ``ctx_mat``
+    (B, L, C) the projected and the summed encoder states, ``mask`` (B, L)
+    the real source positions. Step t does what matvec, add,
+    additive_scores, the masked softmax, vecmat and gru do, in their
+    order: alpha = softmax(tanh(h_proj + ws s + y_att[:, t]) @ v), then the
+    GRU step on y_g[:, t] and the context alpha @ ctx_mat through ``w_ctx``.
+    Returns (B, M, H + L): each step's new state, then its attention row.
+
+    The tape keeps each step's gates, base, attention and context; the VJP
+    recomputes the (B, L, A) tanh, runs backprop through time and takes
+    each weight gradient, and the ``ctx_mat`` adjoint, as one product over
+    all steps.
+    """
+    sd, hd, md, wsd, vd = s0.data, h_proj.data, ctx_mat.data, ws.data, v.data
+    yd, ud, wcd = [p.data for p in y_parts], [w.data for w in u], [w.data for w in w_ctx]
+    n, length, _ = hd.shape
+    steps, hid, dtype = yd[0].shape[1], sd.shape[1], sd.dtype
+    keep = np.asarray(mask, dtype=bool)
+    if keep.shape != (n, length) or md.shape[:2] != keep.shape:
+        _check_shapes("attention_decoder", hd.shape, keep.shape)
+    prev = np.empty((steps, n, hid), dtype=dtype)  # the state each step starts from
+    base = np.empty((steps, n, hd.shape[2]), dtype=dtype)
+    alpha = np.empty((steps, n, length), dtype=dtype)
+    ctx = np.empty((steps, n, md.shape[2]), dtype=dtype)
+    zr, rh, c = (np.empty((steps, *shape), dtype=dtype) for shape in ((2, n, hid), (n, hid), (n, hid)))
+    out = np.empty((n, steps, hid + length), dtype=dtype)
+    tn = np.empty_like(hd)  # one step's tanh layer
+    pad = ~keep
+    s = sd
+    for t in range(steps):
+        prev[t] = s
+        np.add(s @ wsd.T, yd[0][:, t], out=base[t])
+        np.tanh(np.add(hd, base[t][:, None, :], out=tn), out=tn)
+        e = tn @ vd
+        e[pad] = -np.inf
+        e -= e.max(axis=-1, keepdims=True)
+        np.divide(np.exp(e, out=e), e.sum(axis=-1, keepdims=True), out=alpha[t])
+        ctx[t] = (alpha[t][:, None, :] @ md)[:, 0, :]
+        _gru_gates([p[:, t] for p in yd[1:]], s, ud, zr[t], rh[t], c[t], ctx[t], wcd)
+        s = (1.0 - zr[t, 0]) * s + zr[t, 0] * c[t]
+        out[:, t, :hid] = s
+    out[:, :, hid:] = alpha.transpose(1, 0, 2)
+
+    def compute(g):
+        g_s, g_alpha = g[..., :hid].transpose(1, 0, 2), g[..., hid:].transpose(1, 0, 2)
+        d = np.empty((steps, n, 3 * hid), dtype=dtype)  # [dz dr dc] of the gate pre-activations
+        d_base, d_ctx = np.empty_like(base), np.empty_like(ctx)
+        w_c = np.concatenate(wcd)
+        d_th = np.zeros_like(hd)  # de * (1 - tanh^2) summed over steps; times v, h_proj's adjoint
+        d_v, th = np.zeros_like(vd), np.empty_like(hd)
+        a = g_s[-1]
+        for t in range(steps - 1, -1, -1):
+            *gates, dh = _gru_step_vjp(a, prev[t], *zr[t], c[t], ud)
+            np.concatenate(gates, axis=1, out=d[t])
+            d_ctx[t] = d[t] @ w_c
+            da = g_alpha[t] + (md @ d_ctx[t][:, :, None])[:, :, 0]
+            de = alpha[t] * (da - (da * alpha[t]).sum(axis=-1, keepdims=True))
+            np.tanh(np.add(hd, base[t][:, None, :], out=th), out=th)
+            d_v += (de.reshape(1, -1) @ th.reshape(-1, th.shape[2]))[0]
+            np.subtract(1.0, np.square(th, out=th), out=th)
+            d_base[t] = (de[:, None, :] @ th)[:, 0, :] * vd
+            th *= de[:, :, None]
+            d_th += th
+            # the state's adjoint: its own, then the GRU's, then the base's
+            a = dh if t == 0 else g_s[t - 1] + dh
+            a += d_base[t] @ wsd
+        y_grads = [np.ascontiguousarray(x.transpose(1, 0, 2))
+                   for x in (d_base, d[..., :hid], d[..., hid : 2 * hid], d[..., 2 * hid :])]
+        d_u, d_wc = _outer(d[..., : 2 * hid], prev), _outer(d, ctx)
+        d_mat = alpha.transpose(1, 2, 0) @ d_ctx.transpose(1, 0, 2)
+        return [a, *y_grads, d_th * vd, d_mat, _outer(d_base, prev), d_v, d_u[:hid], d_u[hid:],
+                _outer(d[..., 2 * hid :], rh), *np.split(d_wc, 3)]
+
+    return _record(out, _shared_vjps(compute, s0, *y_parts, h_proj, ctx_mat, ws, v, *u, *w_ctx))
+
+
 def pick_nll(h, w, ids, lengths):
     """The summed negative log-likelihood of ``ids`` under
     ``log_softmax(h[k, t] @ w.T)`` over the first ``lengths[k]`` rows t of
@@ -563,14 +646,16 @@ def pick_nll(h, w, ids, lengths):
 # backward
 
 
-def backward(tape, loss):
+def backward(tape, loss, wanted=None):
     """Adjoints of the tape's leaves with respect to a scalar loss.
 
     Returns a list indexed by node id: each leaf (``Tape.var``) the loss
-    depends on holds its adjoint, every other entry is None. An interior
-    node's adjoint is released as soon as its VJPs have run, and so are the
-    VJPs themselves with the activations they hold, so memory holds only what
-    is still needed and a tape supports one backward pass.
+    depends on holds its adjoint, every other entry is None. Given the ids
+    of the ``wanted`` leaves, short of all of them, no VJP runs into a node
+    from which none of them can be reached. An interior node's adjoint is
+    released as soon as its VJPs have run, and so are the VJPs themselves
+    with the activations they hold, so memory holds only what is still
+    needed and a tape supports one backward pass.
 
     Repeated contributions are added in place, but only into arrays that
     backward allocated itself: an array a VJP returned may be shared (the
@@ -585,6 +670,14 @@ def backward(tape, loss):
     nodes = tape._nodes
     if nodes[loss.node] is None:
         raise ValueError("backward: an earlier pass already released this tape")
+    reach = None
+    if wanted is not None and len(set(wanted)) < tape.leaves:
+        reach = bytearray(len(nodes))
+        for nid in wanted:
+            reach[nid] = 1
+        for nid in range(loss.node + 1):
+            if nodes[nid] and any(reach[pid] for pid, _ in nodes[nid]):
+                reach[nid] = 1
     adjoints = [None] * len(nodes)
     owned = set()  # ids whose adjoint array backward allocated
     adjoints[loss.node] = np.asarray(1.0, dtype=loss.data.dtype)
@@ -597,6 +690,8 @@ def backward(tape, loss):
             continue
         adjoints[nid] = None
         for pid, vjp in parents:
+            if reach is not None and not reach[pid]:
+                continue
             g = vjp(a)
             acc = adjoints[pid]
             if acc is None:
@@ -611,8 +706,9 @@ def backward(tape, loss):
 
 
 def gradients(tape, loss, wrt):
-    """Gradient map for named leaf tensors; untouched leaves get zeros."""
-    adjoints = backward(tape, loss)
+    """Gradient map for named leaf tensors; untouched leaves get zeros.
+    Backward runs only the VJPs that lead to one of them."""
+    adjoints = backward(tape, loss, [t.node for t in wrt.values()])
     grads = {}
     for name, t in wrt.items():
         g = adjoints[t.node]

@@ -224,6 +224,34 @@ class TestTrain:
         assert f"{cfg}:{n}: {reason}" in caplog.text
         assert not (tmp_path / "m.ckpt").exists()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", ["sigma", "init_scale", "lambda", "rho", "eps", "clip_norm"])
+    def test_non_finite_float_key_is_one_line_error(self, copy_corpus, tmp_path, caplog, key, value):
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m", extra=f"{key}={value}\n")
+        n = len(cfg.read_text().splitlines())
+        assert run("train", "--config", str(cfg)) == 2
+        assert f"{cfg}:{n}: {key} must be finite, got '{value}'" in caplog.text
+        assert "Traceback" not in caplog.text
+        assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-0.5"])
+    def test_init_scale_must_be_positive(self, copy_corpus, tmp_path, caplog, value):
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m", extra=f"init_scale={value}\n")
+        n = len(cfg.read_text().splitlines())
+        assert run("train", "--config", str(cfg)) == 2
+        assert f"{cfg}:{n}: init_scale must be > 0, got '{value}'" in caplog.text
+
+    def test_non_positive_clip_norm_turns_clipping_off(self, copy_corpus, tmp_path):
+        ckpts = []
+        for name, clip in (("off", "0"), ("neg", "-1"), ("huge", "1e300")):
+            cfg = tmp_path / f"{name}.cfg"
+            write_train_config(cfg, copy_corpus, tmp_path / name, extra=f"clip_norm={clip}\n")
+            assert run("train", "--config", str(cfg)) == 0
+            ckpts.append((tmp_path / f"{name}.ckpt").read_bytes())
+        assert ckpts[0] == ckpts[1] == ckpts[2]
+
 
 class TestScoring:
     def test_score_align_identical_is_one(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from attnalign import model as M
 from attnalign import tensor as T
 
 
@@ -124,6 +125,32 @@ def per_step_gru_sequence(x_parts, u, mask, reverse=False, step=T.gru):
     return T.stack(states, axis=1)
 
 
+# B=2 sources of L=3 (MASK23), M=2 steps, H=2, A=2, C=3
+DEC_SHAPES = {"s0": (2, 2), "ya": (2, 2, 2), "yz": (2, 2, 2), "yr": (2, 2, 2), "yc": (2, 2, 2),
+              "hp": (2, 3, 2), "cm": (2, 3, 3), "ws": (2, 2), "va": (2,), "uz": (2, 2),
+              "ur": (2, 2), "uc": (2, 2), "wz": (2, 3), "wr": (2, 3), "wc": (2, 3)}
+W_DEC = np.linspace(-1.0, 1.5, 20).reshape(2, 2, 5)
+
+
+def per_step_attention_decoder(s0, y_parts, h_proj, ctx_mat, mask, ws, v, u, w_ctx):
+    """Oracle: attention_decoder as ``model.decode_step`` looped over the
+    steps on each step's slice of the target projections, its states and
+    attention rows stacked side by side."""
+    enc = M.EncoderStates(None, ctx_mat, None, mask)
+    tv = {"attn.Ws": ws, "attn.v": v, **{f"dec.U{g}": w for g, w in zip(M.GATES, u)}}
+    s, states, alphas = s0, [], []
+    for t in range(y_parts[0].data.shape[1]):
+        s, alpha = M.decode_step(s, [T.take(p, np.s_[:, t]) for p in y_parts], enc, tv, h_proj, w_ctx)
+        states.append(s)
+        alphas.append(alpha)
+    return T.concat([T.stack(states, axis=1), T.stack(alphas, axis=1)])
+
+
+def _attention_decoder_of(v, decoder=T.attention_decoder, mask=MASK23):
+    return decoder(v["s0"], [v["ya"], v["yz"], v["yr"], v["yc"]], v["hp"], v["cm"], mask,
+                   v["ws"], v["va"], [v["uz"], v["ur"], v["uc"]], [v["wz"], v["wr"], v["wc"]])
+
+
 def _gru_sequence_of(v, reverse, seq=T.gru_sequence, mask=None):
     mask = MASK23 if mask is None else mask
     return seq([v["xz"], v["xr"], v["xc"]], [v["uz"], v["ur"], v["uc"]], mask, reverse)
@@ -166,6 +193,7 @@ def _gru_with_context(v, gru):
         ("sqrt_sum_axes", lambda v: T.sumall(T.sqrt(T.sumall(T.square(v["h"]), axis=(-2, -1)))), {"h": (2, 3, 2)}),
         ("mul_broadcast", lambda v: T.sumall(T.square(T.mul(v["h"], v["r"]))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
         ("gru", lambda v: T.sumall(T.mul(_gru_with_context(v, T.gru), T.const(W23))), GRU_SHAPES),
+        ("attention_decoder", lambda v: T.sumall(T.mul(_attention_decoder_of(v), T.const(W_DEC))), DEC_SHAPES),
     ],
 )
 def test_primitive_gradients_match_finite_differences(name, f, shapes):
@@ -446,3 +474,47 @@ def test_gru_sequence_needs_one_mask_entry_per_position():
     v = {k: T.const(np.zeros(s)) for k, s in SEQ_SHAPES.items()}
     with pytest.raises(T.ShapeError, match=r"\(2, 3, 2\).*\(2, 2\)"):
         _gru_sequence_of(v, False, mask=np.ones((2, 2)))
+
+
+# The states and attention must be bit-identical. The gradients are not:
+# the primitive sums each weight gradient over all steps in one product,
+# where the oracle adds one product per step. Over 40 random draws the gap
+# was at most 9.3e-16 (float64) and 2.7e-7 (float32) of each array's
+# largest entry.
+@pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("src_lens,tgt_lens", [([3, 1, 5, 2, 4], [2, 4, 1, 3, 4]), ([3], [2])],
+                         ids=["padded", "one"])
+def test_attention_decoder_equals_per_step_oracle(src_lens, tgt_lens, dtype, rel):
+    rng = np.random.default_rng(len(src_lens))
+    n, length, steps, hid, att, ctx = len(src_lens), max(src_lens), max(tgt_lens), 4, 3, 5
+    mask = (np.arange(length) < np.array(src_lens)[:, None]).astype(np.int8)
+    shapes = {"s0": (n, hid), "ya": (n, steps, att), "hp": (n, length, att), "cm": (n, length, ctx),
+              "ws": (att, hid), "va": (att,)}
+    shapes.update({k: (n, steps, hid) for k in ("yz", "yr", "yc")})
+    shapes.update({k: (hid, hid) for k in ("uz", "ur", "uc")})
+    shapes.update({k: (hid, ctx) for k in ("wz", "wr", "wc")})
+    values = {k: rng.normal(scale=0.8, size=s) for k, s in shapes.items()}
+    # the loss reads each sentence's real steps only, as in training
+    g = rng.normal(size=(n, steps, hid + length))
+    g[np.arange(steps) >= np.array(tgt_lens)[:, None]] = 0.0
+    results = []
+    for decoder in (T.attention_decoder, per_step_attention_decoder):
+        tape = T.Tape(dtype)
+        leaves = {k: tape.var(v) for k, v in values.items()}
+        out = _attention_decoder_of(leaves, decoder, mask)
+        loss = T.sumall(T.mul(out, T.const(g, dtype)))
+        results.append((out.data, T.gradients(tape, loss, leaves)))
+        with pytest.raises(ValueError, match="released"):
+            T.backward(tape, loss)
+    (out, grads), (want_out, want_grads) = results
+    assert out.dtype == dtype and np.array_equal(out, want_out)
+    assert np.all(out[..., hid:][(mask == 0)[:, None, :].repeat(steps, axis=1)] == 0.0)
+    for k in values:
+        assert grads[k].dtype == dtype and np.any(grads[k] != 0), k
+        assert np.abs(grads[k] - want_grads[k]).max() <= rel * np.abs(want_grads[k]).max(), k
+
+
+def test_attention_decoder_needs_one_mask_entry_per_source_position():
+    v = {k: T.const(np.zeros(s)) for k, s in DEC_SHAPES.items()}
+    with pytest.raises(T.ShapeError, match=r"\(2, 3, 2\).*\(2, 2\)"):
+        _attention_decoder_of(v, mask=np.ones((2, 2)))

@@ -344,6 +344,44 @@ def test_output_layer_takes_gradient_products_only_for_an_objective_that_reads_t
     assert nll == want
 
 
+def test_translation_step_on_the_output_partition_runs_backward_into_it_only(monkeypatch):
+    params = make_params(6)
+    pairs, sup = tiny_corpus(5, seed=4)
+    (batch,) = make_batches(pairs, 5, seed=9, supervision=sup)
+    decoder_vjps, runs = [], []
+    attention_decoder, backward = T.attention_decoder, T.backward
+
+    def counted_decoder(*args):
+        out = attention_decoder(*args)
+        nodes = out.tape._nodes
+        nodes[out.node] = tuple((pid, lambda g, f=f: decoder_vjps.append(1) or f(g))
+                                for pid, f in nodes[out.node])
+        return out
+
+    def kept_backward(tape, loss, wanted=None):
+        runs.append(backward(tape, loss, wanted))
+        return runs[-1]
+
+    monkeypatch.setattr(T, "attention_decoder", counted_decoder)
+    monkeypatch.setattr(T, "backward", kept_backward)
+    trace = forward_teacher_forced(params, batch)
+    T.backward(trace.tape, sentence_loss(trace, None, training.TRANSLATION))  # every leaf
+    assert decoder_vjps
+    decoder_vjps.clear()
+    trainable = partition_filter(params, "T")
+    phase = Phase(training.TRANSLATION, "T", 1)
+    cfg = TrainConfig(schedule=[phase], batch_size=5)
+    training.batch_step(params, batch, phase, cfg, AdaDeltaState(), trainable)
+    # the step's tape is laid out as the unpruned one, so node ids match
+    full, pruned = runs
+    nodes = sorted(trace.leaves[n].node for n in trainable)
+    assert sorted(trainable) == ["out.W1", "out.W2", "out.b1"] and not decoder_vjps
+    assert sum(a is not None for a in full) == len(params.names())
+    assert [k for k, a in enumerate(pruned) if a is not None] == nodes
+    for k in nodes:
+        assert np.array_equal(pruned[k], full[k])
+
+
 def test_phase_reports_skipped_batches(caplog):
     params = make_params(2)
     pairs, sup = tiny_corpus(3, seed=1)
