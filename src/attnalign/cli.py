@@ -251,8 +251,7 @@ def _load_model_and_vocabs(args):
 
 def cmd_translate(args):
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
-    with open(args.src, encoding="utf-8") as fh:
-        lines = [line.split() for line in fh]
+    lines = [line.split() for line in corpus.read_lines(args.src)]
     for lineno, tokens in enumerate(lines, 1):
         corpus.check_text_tokens(args.src, lineno, tokens)
     kept = [k for k, tokens in enumerate(lines) if tokens]
@@ -289,13 +288,12 @@ def cmd_dump_attn(args):
 
 def _read_link_sets(path, flip):
     sets = []
-    with open(path, encoding="utf-8") as fh:
-        for n, line in enumerate(fh, 1):
-            try:
-                links = [corpus.parse_pharaoh_token(tok, flip) for tok in line.split()]
-            except ValueError as exc:
-                raise ValueError(f"{path}:{n}: {exc}") from None
-            sets.append({(j + 1, i + 1) for i, j in links})
+    for n, line in enumerate(corpus.read_lines(path), 1):
+        try:
+            links = [corpus.parse_pharaoh_token(tok, flip) for tok in line.split()]
+        except ValueError as exc:
+            raise ValueError(f"{path}:{n}: {exc}") from None
+        sets.append({(j + 1, i + 1) for i, j in links})
     return sets
 
 

@@ -1,6 +1,11 @@
 """Decoding and scoring: greedy translation, attention dumping, alignment
 extraction with the max-link rule, precision/recall/F1, and corpus BLEU
 with brevity penalty.
+
+Greedy decoding runs the encoder through the model's untracked forward
+pass once per chunk, then steps on plain arrays with
+``tensor.attention_step``, the step the teacher-forced decoder runs, so it
+records nothing per step. A sentence leaves its chunk once it emits eos.
 """
 
 from __future__ import annotations
@@ -13,14 +18,11 @@ import numpy as np
 from . import tensor as T
 from .corpus import EOS_ID, make_batch
 from .model import (
+    GATES,
     bind,
-    context_weights,
-    decode_step,
+    decode_step,  # noqa: F401  not called here; the bench's tracer wraps it through this module
     greedy_step_inputs,
     initial_state,
-    output_log_probs,
-    output_states,
-    target_projections,
     teacher_forced,
 )
 
@@ -44,32 +46,58 @@ def _chunks(lengths):
 
 
 def _greedy_batch(params, sources, max_len):
-    """Greedy decoding of one batch of sources: every step emits each
-    sentence's argmax token; a done mask stops a sentence at eos, and the
-    batch stops when all are done or after max_len steps."""
+    """Greedy decoding of one batch of sources on plain arrays. The encoder
+    runs once; then each step runs ``tensor.attention_step`` and the output
+    layer over the sentences still decoding and emits each one's argmax
+    token. A sentence that emits eos leaves the batch, which ends when none
+    is left or after max_len steps."""
     tv, enc, h_proj = greedy_step_inputs(params, sources)
-    ctx_w = context_weights(tv)
-    s = initial_state(enc, tv)
-    bos = tv["bos_emb"].data
-    y = T.Tensor(np.broadcast_to(bos, (len(sources), bos.shape[0])))
-    hyps = [Hypothesis([], [], 0.0) for _ in sources]
-    done = np.zeros(len(sources), dtype=bool)
-    for _ in range(max_len):
-        s, alpha = decode_step(s, target_projections(y, tv), enc, tv, h_proj, ctx_w)
-        lp = output_log_probs(output_states(s, y, tv), tv).data
+    p = params.tensors
+    e = p["bos_emb"].shape[0]
+    s = initial_state(enc, tv).data
+    h_proj, ctx_mat, pad = h_proj.data, enc.ctx_mat.data, enc.mask == 0
+    # the dec.W* columns as target_projections and context_weights take them
+    w_y = [(p["attn.Wy"], p["attn.b"]), *((p[f"dec.W{g}"][:, :e], p[f"dec.b{g}"]) for g in GATES)]
+    weights = (p["attn.Ws"], p["attn.v"], [p[f"dec.U{g}"] for g in GATES],
+               [p[f"dec.W{g}"][:, e:] for g in GATES])
+    n, length, att = h_proj.shape
+    hid, dtype = s.shape[1], s.dtype
+    # per-step records, grown as steps run: max_len may be far above what runs
+    tokens = np.empty((0, n), dtype=np.intp)
+    attention = np.empty((0, n, length), dtype=dtype)
+    scores = np.zeros(n)  # float64 sums, as python floats add
+    steps = np.full(n, max_len)
+    live = np.arange(n)  # the batch rows still decoding
+    y = np.broadcast_to(p["bos_emb"], (n, e))
+    for t in range(max_len):
+        if t == len(tokens):
+            more = min(max(t, 16), max_len - t)
+            tokens = np.concatenate([tokens, np.empty((more, n), dtype=np.intp)])
+            attention = np.concatenate([attention, np.empty((more, n, length), dtype=dtype)])
+        k = len(live)
+        bufs = [np.empty(shape, dtype) for shape in ((k, att), (k, length), (k, ctx_mat.shape[2]),
+                                                     (2, k, hid), (k, hid), (k, hid), (k, hid),
+                                                     (k, length, att))]
+        T.attention_step(s, [y @ w.T + b for w, b in w_y], h_proj, ctx_mat, pad, *weights, bufs)
+        alpha, s = bufs[1], bufs[6]
+        x = np.tanh(np.concatenate([s, y], axis=-1) @ p["out.W1"].T + p["out.b1"]) @ p["out.W2"].T
+        # log_softmax as tensor.log_softmax computes it, so argmax ties break alike
+        z = x - x.max(axis=-1, keepdims=True)
+        lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
         best = lp.argmax(axis=1)
-        for k in np.flatnonzero(~done):
-            tok = int(best[k])
-            hyps[k].token_ids.append(tok)
-            hyps[k].attention.append(alpha.data[k, : len(sources[k])])
-            hyps[k].score += float(lp[k, tok])
-        done |= best == EOS_ID
-        if done.all():
-            break
-        y = T.Tensor(tv["tgt_emb"].data[best])
-    for hyp in hyps:
-        hyp.attention = np.stack(hyp.attention)
-    return hyps
+        tokens[t, live] = best
+        attention[t, live] = alpha
+        scores[live] += lp[np.arange(k), best]
+        ended = best == EOS_ID
+        if ended.any():
+            steps[live[ended]] = t + 1
+            keep = ~ended
+            live, best, s, h_proj, ctx_mat, pad = (a[keep] for a in (live, best, s, h_proj, ctx_mat, pad))
+            if not len(live):
+                break
+        y = p["tgt_emb"][best]
+    return [Hypothesis(tokens[:m, j].tolist(), attention[:m, j, : len(src)].copy(), float(scores[j]))
+            for j, (m, src) in enumerate(zip(steps, sources))]
 
 
 def greedy_decode_all(params, sources, max_len=80):
@@ -119,13 +147,9 @@ def extract_alignment(attn, threshold=EXTRACT_THRESHOLD):
     source index (argmax convention). Returns 1-indexed (t, i) links.
     """
     attn = np.asarray(attn)
-    m, l = attn.shape
-    links = set()
-    for t in range(m - 1):
-        i = int(np.argmax(attn[t]))
-        if attn[t, i] > threshold and i != l - 1:
-            links.add((t + 1, i + 1))
-    return links
+    best = attn[:-1].argmax(axis=1)
+    t = np.flatnonzero((attn[np.arange(len(best)), best] > threshold) & (best != attn.shape[1] - 1))
+    return set(zip((t + 1).tolist(), (best[t] + 1).tolist()))
 
 
 @dataclass

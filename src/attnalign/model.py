@@ -148,11 +148,11 @@ def bind(params, tape=None):
 # forward pass
 #
 # Every function below runs a whole batch at once: sources are padded (B, L)
-# id arrays with a (B, L) mask, targets (B, M), and a greedy decoder step is
-# one set of (B, .) nodes. Sentences never mix: the encoder carries its states
-# across padding, attention gives padded source positions exactly 0, and the
-# losses read only real rows, so a sentence's numbers do not depend on its
-# batch mates.
+# id arrays with a (B, L) mask, targets (B, M), and a composed decoder step
+# (``decode_step``) is one set of (B, .) nodes. Sentences never mix: the
+# encoder carries its states across padding, attention gives padded source
+# positions exactly 0, and the losses read only real rows, so a sentence's
+# numbers do not depend on its batch mates.
 
 GATES = ("z", "r", "c")
 
@@ -260,12 +260,6 @@ def output_states(s, y, tv):
     """Output-layer states tanh(out.W1 [s; y] + out.b1), one product over
     all positions of s (..., hidden) and y (..., E)."""
     return T.tanh(T.add(T.matvec(tv["out.W1"], T.concat([s, y])), tv["out.b1"]))
-
-
-def output_log_probs(o, tv):
-    """Target-vocabulary log-probabilities of output-layer states (..., out)
-    -> (..., V); greedy decoding takes its argmax per row."""
-    return T.log_softmax(T.matvec(tv["out.W2"], o))
 
 
 def decoder_inputs(tv, tgt_ids):

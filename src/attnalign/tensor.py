@@ -20,7 +20,9 @@ encoder-decoder model are provided:
   time in the VJP of a whole sequence: gru (one GRU step from precomputed
   input projections), gru_sequence (a whole masked GRU direction) and
   attention_decoder (every teacher-forced step of the attention decoder,
-  whose VJP recomputes each step's attention tanh);
+  whose VJP recomputes each step's attention tanh). Its forward step,
+  attention_step, works on plain arrays and is also greedy decoding's
+  step;
 - fused layers that keep no activation on the tape: additive_scores
   (attention scores), whose VJP recomputes its tanh, and pick_nll (the
   summed reference-token NLL under a vocabulary projection, over the
@@ -29,8 +31,6 @@ encoder-decoder model are provided:
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -496,15 +496,38 @@ def additive_scores(h_proj, base, v):
     return _record(out, _shared_vjps(compute, h_proj, base, v))
 
 
+def attention_step(s, y, h_proj, ctx_mat, pad, ws, v, u, w_ctx, out):
+    """One step of the attention decoder on plain arrays, for a batch of B
+    rows: ``s`` (B, H) is the previous state, ``y`` this step's target
+    projections (y_att, y_z, y_r, y_c), ``h_proj`` (B, L, A) and
+    ``ctx_mat`` (B, L, C) the projected and the summed encoder states, and
+    ``pad`` (B, L) is True at padded source positions. In order: base =
+    ws s + y_att, alpha = softmax(tanh(h_proj + base) @ v) with padded
+    positions at exactly 0, the context alpha @ ctx_mat, and the GRU step
+    on y_g and the context through ``w_ctx``. Writes base, alpha, the
+    context, z and r, r * s, c and the new state (1 - z) * s + z * c into
+    the buffers ``out``, in that order, then a (B, L, A) scratch for the
+    tanh layer."""
+    base, alpha, ctx, zr, rh, c, new, tn = out
+    np.add(s @ ws.T, y[0], out=base)
+    np.tanh(np.add(h_proj, base[:, None, :], out=tn), out=tn)
+    e = tn @ v
+    e[pad] = -np.inf
+    e -= e.max(axis=-1, keepdims=True)
+    np.divide(np.exp(e, out=e), e.sum(axis=-1, keepdims=True), out=alpha)
+    ctx[...] = (alpha[:, None, :] @ ctx_mat)[:, 0, :]
+    _gru_gates(y[1:], s, u, zr, rh, c, ctx, w_ctx)
+    np.add((1.0 - zr[0]) * s, zr[0] * c, out=new)
+
+
 def attention_decoder(s0, y_parts, h_proj, ctx_mat, mask, ws, v, u, w_ctx):
     """Every step of a teacher-forced attention decoder as one node: ``s0``
     (B, H) is the initial state, ``y_parts`` the (B, M, .) target
     projections (y_att, y_z, y_r, y_c), ``h_proj`` (B, L, A) and ``ctx_mat``
     (B, L, C) the projected and the summed encoder states, ``mask`` (B, L)
-    the real source positions. Step t does what matvec, add,
-    additive_scores, the masked softmax, vecmat and gru do, in their
-    order: alpha = softmax(tanh(h_proj + ws s + y_att[:, t]) @ v), then the
-    GRU step on y_g[:, t] and the context alpha @ ctx_mat through ``w_ctx``.
+    the real source positions. Step t is ``attention_step`` on
+    y_g[:, t], which does what matvec, add, additive_scores, the masked
+    softmax, vecmat and gru do, in their order.
     Returns (B, M, H + L): each step's new state, then its attention row.
 
     The tape keeps each step's gates, base, attention and context; the VJP
@@ -519,27 +542,20 @@ def attention_decoder(s0, y_parts, h_proj, ctx_mat, mask, ws, v, u, w_ctx):
     keep = np.asarray(mask, dtype=bool)
     if keep.shape != (n, length) or md.shape[:2] != keep.shape:
         _check_shapes("attention_decoder", hd.shape, keep.shape)
-    prev = np.empty((steps, n, hid), dtype=dtype)  # the state each step starts from
+    states = np.empty((steps + 1, n, hid), dtype=dtype)  # s0, then each step's new state
+    states[0] = sd
+    prev = states[:-1]  # the state each step starts from
     base = np.empty((steps, n, hd.shape[2]), dtype=dtype)
     alpha = np.empty((steps, n, length), dtype=dtype)
     ctx = np.empty((steps, n, md.shape[2]), dtype=dtype)
     zr, rh, c = (np.empty((steps, *shape), dtype=dtype) for shape in ((2, n, hid), (n, hid), (n, hid)))
-    out = np.empty((n, steps, hid + length), dtype=dtype)
     tn = np.empty_like(hd)  # one step's tanh layer
     pad = ~keep
-    s = sd
     for t in range(steps):
-        prev[t] = s
-        np.add(s @ wsd.T, yd[0][:, t], out=base[t])
-        np.tanh(np.add(hd, base[t][:, None, :], out=tn), out=tn)
-        e = tn @ vd
-        e[pad] = -np.inf
-        e -= e.max(axis=-1, keepdims=True)
-        np.divide(np.exp(e, out=e), e.sum(axis=-1, keepdims=True), out=alpha[t])
-        ctx[t] = (alpha[t][:, None, :] @ md)[:, 0, :]
-        _gru_gates([p[:, t] for p in yd[1:]], s, ud, zr[t], rh[t], c[t], ctx[t], wcd)
-        s = (1.0 - zr[t, 0]) * s + zr[t, 0] * c[t]
-        out[:, t, :hid] = s
+        attention_step(prev[t], [p[:, t] for p in yd], hd, md, pad, wsd, vd, ud, wcd,
+                       (base[t], alpha[t], ctx[t], zr[t], rh[t], c[t], states[t + 1], tn))
+    out = np.empty((n, steps, hid + length), dtype=dtype)
+    out[:, :, :hid] = states[1:].transpose(1, 0, 2)
     out[:, :, hid:] = alpha.transpose(1, 0, 2)
 
     def compute(g):
@@ -714,64 +730,3 @@ def gradients(tape, loss, wrt):
         g = adjoints[t.node]
         grads[name] = np.zeros_like(t.data) if g is None else np.asarray(g)
     return grads
-
-
-# ---------------------------------------------------------------------------
-# finite-difference gradient checking
-
-
-@dataclass
-class GradCheckReport:
-    """Per-parameter maximum relative error of autodiff vs central differences."""
-
-    max_rel_error: dict = field(default_factory=dict)
-    passed: bool = True
-
-    @property
-    def worst(self):
-        return max(self.max_rel_error.values()) if self.max_rel_error else 0.0
-
-
-def finite_diff_check(f, params, step=1e-5, tolerance=1e-6, denom_eps=1e-10):
-    """Check the autodiff gradient of ``f`` against central finite differences.
-
-    ``f`` maps a dict of named Tensors (leaves on a fresh tape) to a scalar
-    Tensor. ``params`` is a dict of numpy arrays. Relative error per
-    coordinate is |g_ad - g_fd| / max(|g_ad|, |g_fd|, denom_eps).
-    """
-    params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-
-    def evaluate(values):
-        tape = Tape(np.float64)
-        leaves = {k: tape.var(v) for k, v in values.items()}
-        loss = f(leaves)
-        return tape, loss, leaves
-
-    tape, loss, leaves = evaluate(params)
-    if not np.isfinite(loss.data):
-        raise ValueError("finite_diff_check: non-finite objective value")
-    grads = gradients(tape, loss, leaves)
-
-    report = GradCheckReport()
-    for name, value in params.items():
-        g_ad = grads[name]
-        worst = 0.0
-        flat = value.reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + step
-            _, hi, _ = evaluate(params)
-            flat[j] = orig - step
-            _, lo, _ = evaluate(params)
-            flat[j] = orig
-            fd = (float(hi.data) - float(lo.data)) / (2.0 * step)
-            if not (np.isfinite(hi.data) and np.isfinite(lo.data)):
-                raise ValueError(
-                    f"finite_diff_check: non-finite value perturbing {name}[{j}]"
-                )
-            ad = float(g_ad.reshape(-1)[j])
-            rel = abs(ad - fd) / max(abs(ad), abs(fd), denom_eps)
-            worst = max(worst, rel)
-        report.max_rel_error[name] = worst
-    report.passed = report.worst < tolerance
-    return report

@@ -1,0 +1,76 @@
+"""Reference implementations that tests compare the fast paths against:
+greedy decoding composed from tape primitives step by step, and alignment
+extraction one row at a time."""
+
+import numpy as np
+
+from attnalign import evaluation
+from attnalign import tensor as T
+from attnalign.corpus import EOS_ID
+from attnalign.evaluation import Hypothesis
+from attnalign.model import (
+    context_weights,
+    decode_step,
+    greedy_step_inputs,
+    initial_state,
+    output_states,
+    target_projections,
+)
+
+
+def output_log_probs(o, tv):
+    """Target-vocabulary log-probabilities of output-layer states (..., out)
+    -> (..., V)."""
+    return T.log_softmax(T.matvec(tv["out.W2"], o))
+
+
+def composed_greedy_batch(params, sources, max_len):
+    """Greedy decoding of one batch through ``model.decode_step`` on
+    untracked tensors: every step runs every row and emits each sentence's
+    argmax token; a done mask stops a sentence at eos, and the batch stops
+    when all are done or after max_len steps."""
+    tv, enc, h_proj = greedy_step_inputs(params, sources)
+    ctx_w = context_weights(tv)
+    s = initial_state(enc, tv)
+    bos = tv["bos_emb"].data
+    y = T.Tensor(np.broadcast_to(bos, (len(sources), bos.shape[0])))
+    hyps = [Hypothesis([], [], 0.0) for _ in sources]
+    done = np.zeros(len(sources), dtype=bool)
+    for _ in range(max_len):
+        s, alpha = decode_step(s, target_projections(y, tv), enc, tv, h_proj, ctx_w)
+        lp = output_log_probs(output_states(s, y, tv), tv).data
+        best = lp.argmax(axis=1)
+        for k in np.flatnonzero(~done):
+            tok = int(best[k])
+            hyps[k].token_ids.append(tok)
+            hyps[k].attention.append(alpha.data[k, : len(sources[k])])
+            hyps[k].score += float(lp[k, tok])
+        done |= best == EOS_ID
+        if done.all():
+            break
+        y = T.Tensor(tv["tgt_emb"].data[best])
+    for hyp in hyps:
+        hyp.attention = np.stack(hyp.attention)
+    return hyps
+
+
+def composed_greedy_decode_all(params, sources, max_len):
+    """``evaluation.greedy_decode_all``'s chunks, each decoded by
+    ``composed_greedy_batch``."""
+    hyps = [None] * len(sources)
+    for chunk in evaluation._chunks([len(src) for src in sources]):
+        for k, hyp in zip(chunk, composed_greedy_batch(params, [sources[k] for k in chunk], max_len)):
+            hyps[k] = hyp
+    return hyps
+
+
+def per_row_extract_alignment(attn, threshold):
+    """``evaluation.extract_alignment`` with one argmax per target row."""
+    attn = np.asarray(attn)
+    m, l = attn.shape
+    links = set()
+    for t in range(m - 1):
+        i = int(np.argmax(attn[t]))
+        if attn[t, i] > threshold and i != l - 1:
+            links.add((t + 1, i + 1))
+    return links

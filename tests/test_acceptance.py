@@ -57,6 +57,8 @@ from attnalign.training import (
 )
 
 from criteria import record_criterion
+from gradcheck import finite_diff_check
+from oracles import output_log_probs
 
 
 def check(number, description, condition):
@@ -132,7 +134,7 @@ def _joint_objective(leaves, dims, pair, sup, lam):
         outputs.append(M.output_states(s, y_prev, leaves))
         alphas.append(T.take(alpha, 0))
         y_prev = T.take(leaves["tgt_emb"], np.s_[y_t : y_t + 1])
-    lp = M.output_log_probs(T.stack(outputs), leaves)
+    lp = output_log_probs(T.stack(outputs), leaves)
     onehot = np.eye(dims.tgt_vocab)[pair.tgt_ids][:, None, :]
     nll = T.neg(T.sumall(T.mul(lp, T.const(onehot))))
     dist = attention_distance(T.stack(alphas), sup)
@@ -179,7 +181,7 @@ def test_criterion_3_gradient_correctness():
         # denom_eps=1e-4 turns the check absolute (|diff| < 1e-8) for
         # coordinates whose gradient is smaller than 1e-4, where the
         # relative quotient would measure finite-difference noise
-        report = T.finite_diff_check(f, dict(params.tensors), tolerance=1e-4, denom_eps=1e-4)
+        report = finite_diff_check(f, dict(params.tensors), tolerance=1e-4, denom_eps=1e-4)
         worst = max(worst, report.worst)
 
         trace = forward_teacher_forced(params, make_batch([pair]))

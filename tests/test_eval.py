@@ -14,6 +14,7 @@ from attnalign.evaluation import (
 )
 from attnalign.model import ModelDims, forward_teacher_forced, init_params
 from attnalign.supervision import format_matrix, parse_matrix
+from oracles import composed_greedy_decode_all, per_row_extract_alignment
 
 
 DIMS = ModelDims(src_vocab=7, tgt_vocab=9, embed=4, hidden=4, attn=4, out=4)
@@ -93,6 +94,23 @@ class TestExtractAlignment:
             sharper[peak] += 0.5
             attn2 = np.vstack([sharper, np.eye(l)[-1]])
             assert before <= extract_alignment(attn2)
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.2, 0.5])
+    def test_equals_per_row_oracle(self, threshold):
+        rng = np.random.default_rng(3)
+        cases = [
+            np.array([[0.7, 0.3]]),  # one row: the eos row only, no links
+            np.array([[0.1, 0.2, 0.7], [0.5, 0.4, 0.1], [0.0, 0.0, 1.0]]),  # max in the eos column
+            np.array([[0.25, 0.25, 0.25, 0.25], [0.5, 0.0, 0.5, 0.0], [0.0, 0.0, 0.0, 1.0]]),  # ties
+        ]
+        for _ in range(40):
+            m, l = (int(n) for n in rng.integers(1, 8, size=2))
+            quarters = rng.integers(0, 5, size=(m, l)) / 4.0  # exact ties within rows
+            cases += [quarters, rng.random((m, l)), rng.random((m, l)).astype(np.float32)]
+        for attn in cases:
+            assert extract_alignment(attn, threshold) == per_row_extract_alignment(attn, threshold)
+        assert extract_alignment(cases[0], threshold) == set()
+        assert extract_alignment(cases[2], 0.2) == {(1, 1), (2, 1)}  # the lowest index wins
 
     def test_lower_threshold_never_loses_links(self):
         rng = np.random.default_rng(1)
@@ -252,3 +270,101 @@ def test_batched_decoding_equals_one_sentence_runs(monkeypatch):
     ends = [h.token_ids[-1] == EOS_ID for h in hyps]
     assert any(ends) and not all(ends)  # some stop at eos, some at max_len
     assert all(len(h.token_ids) == 6 for h, e in zip(hyps, ends) if not e)
+
+
+# A set whose greedy runs some stop at eos and some at max_len=6.
+MIX_DIMS = ModelDims(src_vocab=7, tgt_vocab=4, embed=4, hidden=4, attn=4, out=4)
+
+
+def mix_sources():
+    """Sources of every length 1..6, eos included, twice over."""
+    rng = np.random.default_rng(0)
+    return [[int(t) for t in rng.integers(3, 7, size=n - 1)] + [EOS_ID] for n in (1, 2, 3, 4, 5, 6) * 2]
+
+
+# The plain-array decoder runs each step over fewer rows once sentences
+# leave the batch, so a row's products may round differently from the
+# composed oracle's full-batch ones; over 1840 hypotheses the gap was at most
+# 1.6e-7 of each array's largest entry in float32 (about 2 ulps).
+@pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+@pytest.mark.parametrize("chunk", [2, None], ids=["chunk2", "default"])
+def test_greedy_decoding_equals_composed_oracle(monkeypatch, chunk, dtype, rel):
+    from attnalign import evaluation
+
+    if chunk is not None:
+        monkeypatch.setattr(evaluation, "DECODE_CHUNK", chunk)
+    p = init_params(MIX_DIMS, seed=0, dtype=dtype, init_scale=0.8)
+    sources = mix_sources()
+    hyps = evaluation.greedy_decode_all(p, sources, max_len=6)
+    want = composed_greedy_decode_all(p, sources, max_len=6)
+    for src, hyp, ref in zip(sources, hyps, want):
+        assert hyp.token_ids == ref.token_ids
+        assert hyp.attention.dtype == dtype and hyp.attention.shape == (len(hyp.token_ids), len(src))
+        assert np.abs(hyp.attention - ref.attention).max() <= rel * np.abs(ref.attention).max()
+        assert abs(hyp.score - ref.score) <= rel * abs(ref.score)
+    ends = [h.token_ids[-1] == EOS_ID for h in hyps]
+    assert any(ends) and not all(ends)  # some stop at eos, some at max_len
+
+
+def test_max_len_far_beyond_eos_decodes_as_a_short_one():
+    # the step records grow with the steps that run, not with max_len
+    from attnalign import evaluation
+
+    p = init_params(MIX_DIMS, seed=0, init_scale=0.8)
+    sources = mix_sources()[:7]  # all of them emit eos within 6 steps
+    short = evaluation.greedy_decode_all(p, sources, max_len=6)
+    long = evaluation.greedy_decode_all(p, sources, max_len=10**12)
+    assert all(h.token_ids[-1] == EOS_ID for h in short)
+    for a, b in zip(short, long):
+        assert a.token_ids == b.token_ids and np.array_equal(a.attention, b.attention)
+        assert a.score == b.score
+
+
+def test_finished_sentences_leave_the_batch(monkeypatch):
+    from attnalign import evaluation
+    from attnalign import tensor as T
+
+    rows = []
+    step = T.attention_step
+
+    def counting_step(s, *args):
+        rows.append(len(s))
+        return step(s, *args)
+
+    p = init_params(MIX_DIMS, seed=0, init_scale=0.8)
+    sources = mix_sources()[:8]  # only the last one never emits eos
+    monkeypatch.setattr(T, "attention_step", counting_step)
+    hyps = evaluation.greedy_decode_all(p, sources, max_len=6)
+    lengths = [len(h.token_ids) for h in hyps]
+    assert [h.token_ids[-1] == EOS_ID for h in hyps] == [True] * 7 + [False]
+    assert rows == [sum(n > t for n in lengths) for t in range(6)]
+    assert rows[0] == 8 and rows[-1] == 1  # the never-eos sentence runs its last steps alone
+
+
+def test_greedy_steps_record_nothing_on_the_tape(monkeypatch):
+    from attnalign import evaluation
+    from attnalign import model as M
+    from attnalign import tensor as T
+
+    p = init_params(MIX_DIMS, seed=0, init_scale=0.8)
+    w2 = p.tensors["out.W2"]
+    w2[EOS_ID] = w2[0]  # eos ties with <pad>, whose lower id wins: no sentence ends
+    sources = mix_sources()
+    calls = []
+    record = T._record
+
+    def counting_record(data, parents):
+        calls.append(1)
+        return record(data, parents)
+
+    monkeypatch.setattr(T, "_record", counting_record)
+    counts = []
+    for max_len in (5, 50):
+        calls.clear()
+        hyps = evaluation.greedy_decode_all(p, sources, max_len=max_len)
+        assert all(len(h.token_ids) == max_len and EOS_ID not in h.token_ids for h in hyps)
+        counts.append(len(calls))
+    calls.clear()
+    tv, enc, _ = M.greedy_step_inputs(p, sources)  # one chunk: the encoder pass alone
+    M.initial_state(enc, tv)
+    assert counts == [len(calls)] * 2

@@ -16,6 +16,7 @@ from attnalign.supervision import (
     simple_transform,
     smoothed_transform,
 )
+from gradcheck import finite_diff_check
 
 
 def random_alignment(rng, max_m=8, max_l=8):
@@ -193,7 +194,7 @@ class TestAttentionDistance:
         def f(v):
             return attention_distance(v["attn"], target)
 
-        report = T.finite_diff_check(f, {"attn": rng.random((3, 4))}, tolerance=1e-5)
+        report = finite_diff_check(f, {"attn": rng.random((3, 4))}, tolerance=1e-5)
         assert report.passed, report.max_rel_error
 
     def test_differentiable_at_perfect_match(self):

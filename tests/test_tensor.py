@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from attnalign import model as M
 from attnalign import tensor as T
+from gradcheck import finite_diff_check
 
 
 def test_softmax_symmetry():
@@ -80,7 +81,7 @@ def test_three_layer_tanh_network_matches_finite_differences():
         h2 = T.tanh(T.matvec(v["w2"], h1))
         return T.sumall(T.mul(v["w3"], h2))
 
-    report = T.finite_diff_check(net, params, step=1e-5, tolerance=1e-6)
+    report = finite_diff_check(net, params, step=1e-5, tolerance=1e-6)
     assert report.passed, report.max_rel_error
 
 
@@ -199,7 +200,7 @@ def _gru_with_context(v, gru):
 def test_primitive_gradients_match_finite_differences(name, f, shapes):
     rng = np.random.default_rng(zlib.crc32(name.encode()))
     params = {k: rng.normal(scale=0.8, size=s) for k, s in shapes.items()}
-    report = T.finite_diff_check(f, params, step=1e-5, tolerance=1e-6)
+    report = finite_diff_check(f, params, step=1e-5, tolerance=1e-6)
     assert report.passed, (name, report.max_rel_error)
 
 
@@ -217,7 +218,7 @@ def test_shared_identity_adjoint_is_not_mutated():
 
     rng = np.random.default_rng(5)
     params = {"x": rng.normal(size=4), "y": rng.normal(size=4)}
-    report = T.finite_diff_check(f, params, step=1e-5, tolerance=1e-6)
+    report = finite_diff_check(f, params, step=1e-5, tolerance=1e-6)
     assert report.passed, report.max_rel_error
 
 
@@ -379,14 +380,14 @@ def test_softmax_is_a_distribution(xs):
 
 
 def test_finite_diff_simple_quadratic():
-    report = T.finite_diff_check(
+    report = finite_diff_check(
         lambda v: T.sumall(T.square(v["w"])), {"w": np.array([1.0])}, step=1e-5, tolerance=1e-8
     )
     assert report.passed
 
 
 def test_finite_diff_constant_function_passes():
-    report = T.finite_diff_check(
+    report = finite_diff_check(
         lambda v: T.sumall(T.mul(v["w"], T.const(np.zeros(2)))),
         {"w": np.array([1.0, 2.0])},
     )
