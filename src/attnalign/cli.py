@@ -140,6 +140,8 @@ def cmd_synth(args):
 
 
 def cmd_prepare(args):
+    if args.max_vocab < 1:
+        raise ValueError(f"max_vocab must be >= 1, got {args.max_vocab}")
     src_vocab = corpus.build_vocab(args.src, args.max_vocab)
     tgt_vocab = corpus.build_vocab(args.tgt, args.max_vocab)
     src_vocab.save(args.out_prefix + ".src.vocab")
@@ -286,9 +288,9 @@ def cmd_dump_attn(args):
     return 0
 
 
-def _read_link_sets(path, flip):
+def _read_link_sets(path, lines, flip):
     sets = []
-    for n, line in enumerate(corpus.read_lines(path), 1):
+    for n, line in enumerate(lines, 1):
         try:
             links = [corpus.parse_pharaoh_token(tok, flip) for tok in line.split()]
         except ValueError as exc:
@@ -298,21 +300,17 @@ def _read_link_sets(path, flip):
 
 
 def cmd_score_align(args):
-    hyp_sets = _read_link_sets(args.hyp, args.flip)
-    gold_sets = _read_link_sets(args.gold, args.flip)
-    if len(hyp_sets) != len(gold_sets):
-        raise ValueError(
-            f"line count mismatch: hyp={len(hyp_sets)} gold={len(gold_sets)}"
-        )
+    hyp_lines, gold_lines = corpus.read_line_pair(args.hyp, args.gold)
+    hyp_sets = _read_link_sets(args.hyp, hyp_lines, args.flip)
+    gold_sets = _read_link_sets(args.gold, gold_lines, args.flip)
     report = evaluation.corpus_alignment_f1(hyp_sets, gold_sets)
     print(report.format_line())
     return 0
 
 
 def cmd_score_bleu(args):
-    hyps = [line.split() for line in corpus.read_lines(args.hyp)]
-    refs = [line.split() for line in corpus.read_lines(args.ref)]
-    report = evaluation.bleu(hyps, refs)
+    hyp_lines, ref_lines = corpus.read_line_pair(args.hyp, args.ref)
+    report = evaluation.bleu([h.split() for h in hyp_lines], [r.split() for r in ref_lines])
     print(report.format_line())
     return 0
 

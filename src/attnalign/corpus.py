@@ -166,18 +166,21 @@ def read_lines(path):
         return [line.rstrip("\n") for line in fh]
 
 
+def read_line_pair(path_a, path_b):
+    """The lines of two line-aligned files, which must have as many lines."""
+    a, b = read_lines(path_a), read_lines(path_b)
+    if len(a) != len(b):
+        raise ValueError(f"line count mismatch: {path_a} has {len(a)}, {path_b} has {len(b)}")
+    return a, b
+
+
 def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
     """Line-aligned corpus -> SentencePairs; empty or over-long pairs skipped.
 
     Returns (pairs, line count); each pair's ``pair_index`` is its 0-based
     input line, so callers can subset a parallel alignment file.
     """
-    src_lines, tgt_lines = read_lines(src_path), read_lines(tgt_path)
-    if len(src_lines) != len(tgt_lines):
-        raise ValueError(
-            f"line count mismatch: {src_path} has {len(src_lines)}, "
-            f"{tgt_path} has {len(tgt_lines)}"
-        )
+    src_lines, tgt_lines = read_line_pair(src_path, tgt_path)
     pairs = []
     skipped_empty = skipped_long = 0
     for n, (s, t) in enumerate(zip(src_lines, tgt_lines)):
@@ -231,13 +234,8 @@ def parse_pharaoh(line, src_len, tgt_len, flip=False):
     return HardAlignment(tgt_len + 1, src_len + 1, links)
 
 
-def format_pharaoh(alignment_or_links, flip=False):
-    """Links back to a Pharaoh line (eos row/column links are dropped)."""
-    if isinstance(alignment_or_links, HardAlignment):
-        m, l = alignment_or_links.m, alignment_or_links.l
-        links = {(t, i) for t, i in alignment_or_links.links if t < m and i < l}
-    else:
-        links = set(alignment_or_links)
+def format_pharaoh(links, flip=False):
+    """1-indexed (t, i) links back to a Pharaoh line."""
     out = []
     for t, i in sorted(links, key=lambda p: (p[1], p[0])):
         a, b = i - 1, t - 1

@@ -36,7 +36,6 @@ DECODE_CHUNK = 32
 class Hypothesis:
     token_ids: list  # ends in eos unless truncated at max_len
     attention: np.ndarray  # one row per emitted token
-    score: float  # sum of chosen log-probabilities
 
 
 def _chunks(lengths):
@@ -65,7 +64,6 @@ def _greedy_batch(params, sources, max_len):
     # per-step records, grown as steps run: max_len may be far above what runs
     tokens = np.empty((0, n), dtype=np.intp)
     attention = np.empty((0, n, length), dtype=dtype)
-    scores = np.zeros(n)  # float64 sums, as python floats add
     steps = np.full(n, max_len)
     live = np.arange(n)  # the batch rows still decoding
     y = np.broadcast_to(p["bos_emb"], (n, e))
@@ -87,7 +85,6 @@ def _greedy_batch(params, sources, max_len):
         best = lp.argmax(axis=1)
         tokens[t, live] = best
         attention[t, live] = alpha
-        scores[live] += lp[np.arange(k), best]
         ended = best == EOS_ID
         if ended.any():
             steps[live[ended]] = t + 1
@@ -96,7 +93,7 @@ def _greedy_batch(params, sources, max_len):
             if not len(live):
                 break
         y = p["tgt_emb"][best]
-    return [Hypothesis(tokens[:m, j].tolist(), attention[:m, j, : len(src)].copy(), float(scores[j]))
+    return [Hypothesis(tokens[:m, j].tolist(), attention[:m, j, : len(src)].copy())
             for j, (m, src) in enumerate(zip(steps, sources))]
 
 
@@ -162,25 +159,6 @@ class F1Report:
         return f"precision={self.precision:.4f} recall={self.recall:.4f} f1={self.f1:.4f}"
 
 
-def _f1_from_counts(matched, hyp_total, gold_total):
-    if hyp_total == 0:
-        precision = 1.0 if gold_total == 0 else 0.0
-    else:
-        precision = matched / hyp_total
-    if gold_total == 0:
-        recall = 1.0 if hyp_total == 0 else 0.0
-    else:
-        recall = matched / gold_total
-    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-    return F1Report(precision, recall, f1)
-
-
-def alignment_f1(hyp, gold):
-    """Link precision/recall/F1 for one sentence."""
-    hyp, gold = set(hyp), set(gold)
-    return _f1_from_counts(len(hyp & gold), len(hyp), len(gold))
-
-
 def corpus_alignment_f1(hyp_sets, gold_sets):
     """Micro-averaged F1: link counts pooled over the corpus."""
     if len(hyp_sets) != len(gold_sets):
@@ -191,7 +169,16 @@ def corpus_alignment_f1(hyp_sets, gold_sets):
         matched += len(hyp & gold)
         hyp_total += len(hyp)
         gold_total += len(gold)
-    return _f1_from_counts(matched, hyp_total, gold_total)
+    if hyp_total == 0:
+        precision = 1.0 if gold_total == 0 else 0.0
+    else:
+        precision = matched / hyp_total
+    if gold_total == 0:
+        recall = 1.0 if hyp_total == 0 else 0.0
+    else:
+        recall = matched / gold_total
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+    return F1Report(precision, recall, f1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,21 +198,22 @@ def _ngrams(tokens, n):
     return Counter(tuple(tokens[k : k + n]) for k in range(len(tokens) - n + 1))
 
 
-def bleu(hyps, refs, max_ngram=4):
-    """Corpus BLEU, single reference: geometric mean of clipped n-gram
-    precisions times the brevity penalty min(1, exp(1 - ref_len/hyp_len)).
+def bleu(hyps, refs):
+    """Corpus BLEU, single reference: geometric mean of the clipped n-gram
+    precisions for n = 1..4 times the brevity penalty
+    min(1, exp(1 - ref_len/hyp_len)).
     """
     if len(hyps) != len(refs):
         raise ValueError("hypothesis and reference counts differ")
     if not hyps:
         raise ValueError("empty corpus")
-    matched = [0] * max_ngram
-    total = [0] * max_ngram
+    matched = [0] * 4
+    total = [0] * 4
     hyp_len = ref_len = 0
     for hyp, ref in zip(hyps, refs):
         hyp_len += len(hyp)
         ref_len += len(ref)
-        for n in range(1, max_ngram + 1):
+        for n in range(1, 5):
             h = _ngrams(hyp, n)
             r = _ngrams(ref, n)
             total[n - 1] += sum(h.values())

@@ -96,17 +96,8 @@ class ModelParams:
     def names(self):
         return list(self.tensors)
 
-    def copy(self):
-        return ModelParams(
-            self.dims,
-            {k: v.copy() for k, v in self.tensors.items()},
-            dict(self.partition),
-            self.seed,
-        )
 
-
-def init_params(dims, seed=0, dtype=np.float64, target_embedding_partition="A",
-                init_scale=INIT_SCALE):
+def init_params(dims, seed=0, dtype=np.float64, init_scale=INIT_SCALE):
     """Uniform [-init_scale, init_scale] weights, zero biases; deterministic.
 
     The 0.08 default suits large hidden sizes; at desk-scale dims a larger
@@ -121,9 +112,6 @@ def init_params(dims, seed=0, dtype=np.float64, target_embedding_partition="A",
         else:
             tensors[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(dtype, copy=False)
         partition[name] = "T" if name in OUTPUT_TENSORS else "A"
-    if target_embedding_partition not in ("A", "T"):
-        raise ValueError("target_embedding_partition must be 'A' or 'T'")
-    partition["tgt_emb"] = target_embedding_partition
     return ModelParams(dims, tensors, partition, seed)
 
 
@@ -212,7 +200,9 @@ def attend(s_prev, enc, y_att, tv, h_proj=None):
     if h_proj is None:
         h_proj = attention_projection(enc, tv)
     base = T.add(T.matvec(tv["attn.Ws"], s_prev), y_att)
-    return T.softmax(T.additive_scores(h_proj, base, tv["attn.v"]), enc.mask)
+    layer = T.tanh(T.add(h_proj, T.take(base, np.s_[..., None, :])))
+    scores = T.take(T.matvec(T.take(tv["attn.v"], np.s_[None, :]), layer), np.s_[..., 0])
+    return T.softmax(scores, enc.mask)
 
 
 def initial_state(enc, tv):
@@ -246,14 +236,22 @@ def context_weights(tv):
 
 def decode_step(s_prev, y_parts, enc, tv, h_proj=None, ctx_w=None):
     """One decoder step over a batch: ``y_parts`` is this step's slice of
-    ``target_projections``. Returns (s_t, attention)."""
+    ``target_projections``. Returns (s_t, attention). The reference that
+    ``tensor.attention_step`` is tested against: its GRU takes each gate
+    as (y_g + U_g s) + W'_g ctx, as the fused step does."""
     y_att, *y_gates = y_parts
     if ctx_w is None:
         ctx_w = context_weights(tv)
     alpha = attend(s_prev, enc, y_att, tv, h_proj)
     context = attention_context(alpha, enc)
     u = [tv[f"dec.U{g}"] for g in GATES]
-    return T.gru(y_gates, s_prev, u, context, ctx_w), alpha
+
+    def gate(k, h):
+        return T.add(T.add(y_gates[k], T.matvec(u[k], h)), T.matvec(ctx_w[k], context))
+
+    z, r = T.sigmoid(gate(0, s_prev)), T.sigmoid(gate(1, s_prev))
+    c = T.tanh(gate(2, T.mul(r, s_prev)))
+    return T.add(T.mul(T.sub(1.0, z), s_prev), T.mul(z, c)), alpha
 
 
 def output_states(s, y, tv):
@@ -368,7 +366,7 @@ def _write_checkpoint(params, path):
             fh.write(arr)
 
 
-def load_checkpoint(path, dtype=np.float32):
+def load_checkpoint(path):
     with open(path, "rb") as fh:
         blob = fh.read()
     sep = blob.find(b"\n\n")
@@ -426,7 +424,7 @@ def load_checkpoint(path, dtype=np.float32):
             raise CheckpointError(f"truncated tensor {name!r} at offset {off}")
         arr = np.frombuffer(blob[off : off + nbytes], dtype="<f4").reshape(shape)
         off += nbytes
-        tensors[name] = arr.astype(dtype)
+        tensors[name] = arr.astype(np.float32)
         tag = header.get(f"partition.{name}")
         if tag not in ("A", "T"):
             raise CheckpointError(f"missing or bad partition tag for {name!r}")

@@ -132,31 +132,22 @@ def supervision_matrix(raw, smoothing=None):
 
 
 def attention_distance(attn, target, mask=None):
-    """Euclidean distance between an attention matrix and its supervision.
-
-    ``attn`` may be a tape-tracked Tensor (the distance is then
-    differentiable with respect to it) or a plain array. ``target`` is a
-    plain array of the same shape. A tracked (B, M, L) stack of padded
+    """Euclidean distance between an attention matrix Tensor and its
+    supervision, a plain array of the same shape; differentiable with
+    respect to ``attn`` when it is tracked. A (B, M, L) stack of padded
     matrices gives a (B,) Tensor, one distance per matrix over the cells
     where ``mask`` is 1: never one norm over the whole batch.
     """
     target = np.asarray(target)
-    if isinstance(attn, T.Tensor):
-        if attn.data.shape != target.shape:
-            raise T.ShapeError(
-                f"attention_distance: shapes {attn.data.shape} and {target.shape} differ"
-            )
-        diff = T.sub(attn, T.Tensor(target.astype(attn.data.dtype)))
-        if mask is not None:
-            diff = T.mul(diff, T.Tensor(mask))
-        axes = (-2, -1) if attn.data.ndim > 2 else None
-        return T.sqrt(T.sumall(T.square(diff), axis=axes))
-    attn = np.asarray(attn)
-    if attn.shape != target.shape:
+    if attn.data.shape != target.shape:
         raise T.ShapeError(
-            f"attention_distance: shapes {attn.shape} and {target.shape} differ"
+            f"attention_distance: shapes {attn.data.shape} and {target.shape} differ"
         )
-    return float(np.sqrt(((attn - target) ** 2).sum()))
+    diff = T.sub(attn, T.Tensor(target.astype(attn.data.dtype)))
+    if mask is not None:
+        diff = T.mul(diff, T.Tensor(mask))
+    axes = (-2, -1) if attn.data.ndim > 2 else None
+    return T.sqrt(T.sumall(T.square(diff), axis=axes))
 
 
 # ---------------------------------------------------------------------------

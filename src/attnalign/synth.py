@@ -1,9 +1,9 @@
 """Synthetic parallel corpora with known gold alignments.
 
 Tasks: copy (target equals source, diagonal alignment), reverse (target is
-the source reversed, anti-diagonal), and local-shuffle (adjacent token
-pairs randomly swapped, alignment follows the permutation). Tokens are
-"w0".."w{V-1}"; all output is deterministic given the seed.
+the source reversed, anti-diagonal), and local-shuffle (each adjacent token
+pair swapped with probability 1/2, alignment follows the permutation).
+Tokens are "w0".."w{V-1}"; all output is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ class SynthSpec:
     max_len: int = 10
     pairs: int = 1000
     seed: int = 0
-    swap_prob: float = 0.5  # local-shuffle only
 
     def __post_init__(self):
         if self.task not in TASKS:
@@ -45,7 +44,7 @@ def _permute(src, spec, rng):
         perm = list(range(n))
         k = 0
         while k + 1 < n:
-            if rng.random() < spec.swap_prob:
+            if rng.random() < 0.5:
                 perm[k], perm[k + 1] = perm[k + 1], perm[k]
                 k += 2
             else:

@@ -16,16 +16,14 @@ encoder-decoder model are provided:
   once in the VJP);
 - reductions: sumall (over all or the given axes), softmax (last axis,
   optionally masked), log_softmax (last axis);
-- recurrent layers that keep their gates for the VJP, backprop through
-  time in the VJP of a whole sequence: gru (one GRU step from precomputed
-  input projections), gru_sequence (a whole masked GRU direction) and
+- recurrent layers that keep their gates for the VJP and run backprop
+  through time in it: gru_sequence (a whole masked GRU direction) and
   attention_decoder (every teacher-forced step of the attention decoder,
   whose VJP recomputes each step's attention tanh). Its forward step,
   attention_step, works on plain arrays and is also greedy decoding's
   step;
-- fused layers that keep no activation on the tape: additive_scores
-  (attention scores), whose VJP recomputes its tanh, and pick_nll (the
-  summed reference-token NLL under a vocabulary projection, over the
+- a fused output layer that keeps no activation on the tape: pick_nll
+  (the summed reference-token NLL under a vocabulary projection, over the
   packed real rows of all blocks in chunks of bounded size), which takes
   its gradients in the forward pass while each chunk's logits are at hand.
 """
@@ -331,37 +329,6 @@ def _outer(g, v):
     return g.reshape(-1, g.shape[-1]).T @ v.reshape(-1, v.shape[-1])
 
 
-def gru(x, h_prev, u, ctx=None, w_ctx=None):
-    """One GRU step: ``x`` holds the input's gate pre-activations
-    (x_z, x_r, x_c), each W_g input + b_g, and ``u`` the recurrent weights
-    (U_z, U_r, U_c). An optional second input ``ctx`` adds W'_g ctx to each
-    gate, with ``w_ctx`` = (W'_z, W'_r, W'_c). With z = sigmoid(x_z + U_z h),
-    r = sigmoid(x_r + U_r h) and c = tanh(x_c + U_c (r * h)), returns
-    (1 - z) * h + z * c.
-
-    The tape keeps the gates z, r, r * h and c for the VJP.
-    """
-    hd = h_prev.data
-    ud = [w.data for w in u]
-    cd, wd = (None, None) if ctx is None else (ctx.data, [w.data for w in w_ctx])
-    zr, rh, c = np.empty((2, *hd.shape), dtype=hd.dtype), np.empty_like(hd), np.empty_like(hd)
-    _gru_gates([p.data for p in x], hd, ud, zr, rh, c, cd, wd)
-    z, r = zr
-    out = (1.0 - z) * hd + z * c
-
-    def compute(g):
-        dz, dr, dc, dh = _gru_step_vjp(g, hd, z, r, c, ud)
-        grads = [dz, dr, dc, dh, _outer(dz, hd), _outer(dr, hd), _outer(dc, rh)]
-        if ctx is not None:
-            d_pre = (dz, dr, dc)
-            grads.append(sum(d @ w for d, w in zip(d_pre, wd)))
-            grads += [_outer(d, cd) for d in d_pre]
-        return grads
-
-    extra = [] if ctx is None else [ctx, *w_ctx]
-    return _record(out, _shared_vjps(compute, *x, h_prev, *u, *extra))
-
-
 def gru_sequence(x_parts, u, mask, reverse=False):
     """A whole GRU direction over a padded batch as one node: ``x_parts``
     holds the (B, L, H) gate pre-activations (x_z, x_r, x_c) of every
@@ -478,24 +445,6 @@ def log_softmax(x):
     return _record(out, [(x, vjp)])
 
 
-def additive_scores(h_proj, base, v):
-    """``tanh(h_proj + base[..., None, :]) @ v``: (..., L, A), (..., A), (A,)
-    -> (..., L), the scores of a feed-forward attention layer. The VJP
-    recomputes the tanh rather than keep an (..., L, A) array per call."""
-    hd, bd, vd = h_proj.data, base.data, v.data
-    if hd.shape[-1] != bd.shape[-1] or vd.shape != hd.shape[-1:]:
-        _check_shapes("additive_scores", hd.shape, bd.shape)
-    out = np.tanh(hd + bd[..., None, :]) @ vd
-
-    def compute(g):
-        t = np.tanh(hd + bd[..., None, :])
-        d = (g[..., None] * vd) * (1.0 - t * t)
-        gv = np.tensordot(g, t, axes=g.ndim)
-        return d, _unbroadcast(d.sum(axis=-2), bd.shape), gv
-
-    return _record(out, _shared_vjps(compute, h_proj, base, v))
-
-
 def attention_step(s, y, h_proj, ctx_mat, pad, ws, v, u, w_ctx, out):
     """One step of the attention decoder on plain arrays, for a batch of B
     rows: ``s`` (B, H) is the previous state, ``y`` this step's target
@@ -526,8 +475,8 @@ def attention_decoder(s0, y_parts, h_proj, ctx_mat, mask, ws, v, u, w_ctx):
     projections (y_att, y_z, y_r, y_c), ``h_proj`` (B, L, A) and ``ctx_mat``
     (B, L, C) the projected and the summed encoder states, ``mask`` (B, L)
     the real source positions. Step t is ``attention_step`` on
-    y_g[:, t], which does what matvec, add, additive_scores, the masked
-    softmax, vecmat and gru do, in their order.
+    y_g[:, t], which does what ``model.decode_step`` composes from the
+    primitives, in its order.
     Returns (B, M, H + L): each step's new state, then its attention row.
 
     The tape keeps each step's gates, base, attention and context; the VJP

@@ -249,7 +249,7 @@ def _adadelta_formula(p, g, eg2, ed2, rho, eps):
 def clip_gradients(grads, names, max_norm):
     """Scale the named gradients in place so their global norm is at most
     max_norm."""
-    if max_norm is None or max_norm <= 0:
+    if max_norm <= 0:
         return 1.0
     total = sum(float(np.square(grads[n]).sum()) for n in names)
     norm = np.sqrt(total)

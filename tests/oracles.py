@@ -34,7 +34,7 @@ def composed_greedy_batch(params, sources, max_len):
     s = initial_state(enc, tv)
     bos = tv["bos_emb"].data
     y = T.Tensor(np.broadcast_to(bos, (len(sources), bos.shape[0])))
-    hyps = [Hypothesis([], [], 0.0) for _ in sources]
+    hyps = [Hypothesis([], []) for _ in sources]
     done = np.zeros(len(sources), dtype=bool)
     for _ in range(max_len):
         s, alpha = decode_step(s, target_projections(y, tv), enc, tv, h_proj, ctx_w)
@@ -44,7 +44,6 @@ def composed_greedy_batch(params, sources, max_len):
             tok = int(best[k])
             hyps[k].token_ids.append(tok)
             hyps[k].attention.append(alpha.data[k, : len(sources[k])])
-            hyps[k].score += float(lp[k, tok])
         done |= best == EOS_ID
         if done.all():
             break

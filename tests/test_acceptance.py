@@ -23,7 +23,6 @@ from attnalign.corpus import (
     parse_pharaoh,
 )
 from attnalign.evaluation import (
-    alignment_f1,
     bleu,
     corpus_alignment_f1,
     dump_attention_all,
@@ -345,18 +344,23 @@ def _scalar_distance(a, b):
     return math.sqrt(total)
 
 
+def _distance(a, b):
+    """``attention_distance`` of two plain matrices, on the path training runs."""
+    return float(attention_distance(T.Tensor(a), b).data)
+
+
 def test_criterion_8_distance_metric_laws():
     rng = np.random.default_rng(8)
     ok = True
     for _ in range(1000):
         shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
         a, b, c = (rng.random(shape) for _ in range(3))
-        dab = attention_distance(a, b)
+        dab = _distance(a, b)
         ok &= abs(dab - _scalar_distance(a, b)) < 1e-10
         ok &= dab >= 0.0
-        ok &= attention_distance(a, a) == 0.0
-        ok &= abs(dab - attention_distance(b, a)) < 1e-10
-        ok &= dab <= attention_distance(a, c) + attention_distance(c, b) + 1e-10
+        ok &= _distance(a, a) == 0.0
+        ok &= abs(dab - _distance(b, a)) < 1e-10
+        ok &= dab <= _distance(a, c) + _distance(c, b) + 1e-10
     check(
         8,
         "1000 random triples: non-negativity, identity, symmetry, triangle "
@@ -372,7 +376,7 @@ def test_criterion_8_distance_metric_laws():
 def test_criterion_9_scoring_hand_cases():
     sents = [["a", "b", "c", "d", "e"], ["x", "y", "z"]]
     b = bleu(sents, sents)
-    f = alignment_f1({(1, 1), (2, 2)}, {(1, 1), (2, 1)})
+    f = corpus_alignment_f1([{(1, 1), (2, 2)}], [{(1, 1), (2, 1)}])
     check(
         9,
         "identity BLEU is 1.0 with BP 1.0; F1 hand case is exactly 0.5/0.5/0.5",

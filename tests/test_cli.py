@@ -291,6 +291,16 @@ class TestScoring:
         assert run("score-bleu", "--hyp", str(f), "--ref", str(f)) == 0
         assert "bleu=1.0000 bp=1.0000" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command,ref_flag,text", [("score-bleu", "--ref", "a b"),
+                                                        ("score-align", "--gold", "0-0")],
+                             ids=["score-bleu", "score-align"])
+    def test_line_count_mismatch_names_both_files(self, tmp_path, caplog, command, ref_flag, text):
+        h, r = tmp_path / "h.txt", tmp_path / "r.txt"
+        h.write_text(f"{text}\n{text}\n")
+        r.write_text(f"{text}\n")
+        assert run(command, "--hyp", str(h), ref_flag, str(r)) == 2
+        assert f"line count mismatch: {h} has 2, {r} has 1" in caplog.text
+
 
 class TestDecodeCommands:
     @pytest.fixture
@@ -446,6 +456,15 @@ def test_prepare_rejects_a_reserved_token(copy_corpus, tmp_path, caplog):
              "--out-prefix", str(tmp_path / "v"))
     assert rc == 2
     assert f"{tgt}:1: reserved token '<pad>'" in caplog.text
+
+
+@pytest.mark.parametrize("value", ["-2", "0"])
+def test_prepare_rejects_max_vocab_below_one(copy_corpus, tmp_path, caplog, value):
+    rc = run("prepare", "--src", copy_corpus + ".src", "--tgt", copy_corpus + ".tgt",
+             "--max-vocab", value, "--out-prefix", str(tmp_path / "v"))
+    assert rc == 2
+    assert f"max_vocab must be >= 1, got {value}" in caplog.text
+    assert not (tmp_path / "v.src.vocab").exists()
 
 
 def test_parse_config_file(tmp_path):

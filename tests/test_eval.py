@@ -5,7 +5,6 @@ import pytest
 
 from attnalign.corpus import EOS_ID, SentencePair, make_batch
 from attnalign.evaluation import (
-    alignment_f1,
     bleu,
     corpus_alignment_f1,
     dump_attention,
@@ -42,11 +41,6 @@ class TestGreedyDecode:
         h2 = greedy_decode(p, [3, 4, 5, EOS_ID])
         assert h1.token_ids == h2.token_ids
         assert np.array_equal(h1.attention, h2.attention)
-        assert h1.score == h2.score
-
-    def test_score_is_sum_of_chosen_log_probs(self):
-        hyp = greedy_decode(make_params(3), [3, EOS_ID])
-        assert hyp.score <= 0.0
 
     def test_bad_max_len(self):
         with pytest.raises(ValueError):
@@ -123,31 +117,31 @@ class TestExtractAlignment:
 
 class TestF1:
     def test_identical_sets(self):
-        r = alignment_f1({(1, 1), (2, 2)}, {(1, 1), (2, 2)})
+        r = corpus_alignment_f1([{(1, 1), (2, 2)}], [{(1, 1), (2, 2)}])
         assert (r.precision, r.recall, r.f1) == (1.0, 1.0, 1.0)
 
     def test_disjoint_sets(self):
-        r = alignment_f1({(1, 1)}, {(2, 2)})
+        r = corpus_alignment_f1([{(1, 1)}], [{(2, 2)}])
         assert (r.precision, r.recall, r.f1) == (0.0, 0.0, 0.0)
 
     def test_hand_case_half(self):
-        r = alignment_f1({(1, 1), (2, 2)}, {(1, 1), (2, 1)})
+        r = corpus_alignment_f1([{(1, 1), (2, 2)}], [{(1, 1), (2, 1)}])
         assert r.precision == 0.5 and r.recall == 0.5 and r.f1 == 0.5
 
     def test_symmetry_swaps_precision_recall(self):
         hyp = {(1, 1), (1, 2), (2, 2)}
         gold = {(1, 1), (3, 3)}
-        a = alignment_f1(hyp, gold)
-        b = alignment_f1(gold, hyp)
+        a = corpus_alignment_f1([hyp], [gold])
+        b = corpus_alignment_f1([gold], [hyp])
         assert a.precision == b.recall and a.recall == b.precision
         assert a.f1 == pytest.approx(b.f1)
 
     def test_empty_conventions(self):
-        both = alignment_f1(set(), set())
+        both = corpus_alignment_f1([set()], [set()])
         assert (both.precision, both.recall, both.f1) == (1.0, 1.0, 1.0)
-        hyp_empty = alignment_f1(set(), {(1, 1)})
+        hyp_empty = corpus_alignment_f1([set()], [{(1, 1)}])
         assert hyp_empty.precision == 0.0 and hyp_empty.recall == 0.0
-        gold_empty = alignment_f1({(1, 1)}, set())
+        gold_empty = corpus_alignment_f1([{(1, 1)}], [set()])
         assert gold_empty.precision == 0.0 and gold_empty.recall == 0.0
 
     def test_micro_average_matches_pooled_count_oracle(self):
@@ -170,7 +164,7 @@ class TestF1:
             corpus_alignment_f1([set()], [set(), set()])
 
     def test_format_line(self):
-        line = alignment_f1({(1, 1)}, {(1, 1)}).format_line()
+        line = corpus_alignment_f1([{(1, 1)}], [{(1, 1)}]).format_line()
         assert line == "precision=1.0000 recall=1.0000 f1=1.0000"
 
 
@@ -266,7 +260,6 @@ def test_batched_decoding_equals_one_sentence_runs(monkeypatch):
         one = greedy_decode(p, src, max_len=6)
         assert hyp.token_ids == one.token_ids
         np.testing.assert_allclose(hyp.attention, one.attention, rtol=1e-12, atol=1e-15)
-        assert hyp.score == pytest.approx(one.score, rel=1e-12)
     ends = [h.token_ids[-1] == EOS_ID for h in hyps]
     assert any(ends) and not all(ends)  # some stop at eos, some at max_len
     assert all(len(h.token_ids) == 6 for h, e in zip(hyps, ends) if not e)
@@ -301,7 +294,6 @@ def test_greedy_decoding_equals_composed_oracle(monkeypatch, chunk, dtype, rel):
         assert hyp.token_ids == ref.token_ids
         assert hyp.attention.dtype == dtype and hyp.attention.shape == (len(hyp.token_ids), len(src))
         assert np.abs(hyp.attention - ref.attention).max() <= rel * np.abs(ref.attention).max()
-        assert abs(hyp.score - ref.score) <= rel * abs(ref.score)
     ends = [h.token_ids[-1] == EOS_ID for h in hyps]
     assert any(ends) and not all(ends)  # some stop at eos, some at max_len
 
@@ -317,7 +309,6 @@ def test_max_len_far_beyond_eos_decodes_as_a_short_one():
     assert all(h.token_ids[-1] == EOS_ID for h in short)
     for a, b in zip(short, long):
         assert a.token_ids == b.token_ids and np.array_equal(a.attention, b.attention)
-        assert a.score == b.score
 
 
 def test_finished_sentences_leave_the_batch(monkeypatch):

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -111,10 +113,6 @@ class TestInit:
         p = make_params()
         assert sorted(partition_filter(p, "T")) == ["out.W1", "out.W2", "out.b1"]
 
-    def test_target_embedding_partition_flag(self):
-        p = init_params(DIMS, target_embedding_partition="T")
-        assert p.partition["tgt_emb"] == "T"
-
     def test_all_finite(self):
         p = make_params()
         for v in p.tensors.values():
@@ -143,7 +141,7 @@ class TestEncoder:
         enc = encode([src], M.bind(p, tape))
         h = p.dims.hidden
 
-        swapped = p.copy()
+        swapped = copy.deepcopy(p)
         for gate in ("Wz", "Uz", "bz", "Wr", "Ur", "br", "Wc", "Uc", "bc"):
             swapped.tensors[f"enc_fwd.{gate}"] = p.tensors[f"enc_bwd.{gate}"]
             swapped.tensors[f"enc_bwd.{gate}"] = p.tensors[f"enc_fwd.{gate}"]

@@ -153,15 +153,20 @@ class TestSmoothedTransform:
                 np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-6)
 
 
+def distance(a, b):
+    """``attention_distance`` of two plain matrices, on the path training runs."""
+    return float(attention_distance(T.Tensor(a), b).data)
+
+
 class TestAttentionDistance:
     def test_identity(self):
         m = np.random.default_rng(2).random((3, 4))
-        assert attention_distance(m, m) == 0.0
+        assert distance(m, m) == 0.0
 
     def test_hand_case(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0]])
         b = np.full((2, 2), 0.5)
-        assert attention_distance(a, b) == pytest.approx(1.0)
+        assert distance(a, b) == pytest.approx(1.0)
 
     def test_matches_scalar_loop_oracle(self):
         rng = np.random.default_rng(3)
@@ -172,20 +177,20 @@ class TestAttentionDistance:
             for t in range(3):
                 for i in range(4):
                     total += (a[t, i] - b[t, i]) ** 2
-            assert attention_distance(a, b) == pytest.approx(math.sqrt(total), rel=1e-12)
+            assert distance(a, b) == pytest.approx(math.sqrt(total), rel=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(T.ShapeError):
-            attention_distance(np.zeros((2, 3)), np.zeros((3, 2)))
+            attention_distance(T.Tensor(np.zeros((2, 3))), np.zeros((3, 2)))
 
     def test_metric_laws(self):
         rng = np.random.default_rng(4)
         for _ in range(100):
             a, b, c = (rng.random((3, 5)) for _ in range(3))
-            dab = attention_distance(a, b)
+            dab = distance(a, b)
             assert dab >= 0
-            assert dab == pytest.approx(attention_distance(b, a), rel=1e-12)
-            assert dab <= attention_distance(a, c) + attention_distance(c, b) + 1e-12
+            assert dab == pytest.approx(distance(b, a), rel=1e-12)
+            assert dab <= distance(a, c) + distance(c, b) + 1e-12
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)

@@ -1,3 +1,4 @@
+import copy
 from types import SimpleNamespace
 
 import numpy as np
@@ -253,7 +254,7 @@ class TestRunSchedule:
             schedule=parse_schedule("ALIGN:A:1->TRANS:T:1"), batch_size=3, seed=0
         )
         phase1 = TrainConfig(schedule=[cfg.schedule[0]], batch_size=3, seed=0)
-        snapshot = params.copy()
+        snapshot = copy.deepcopy(params)
         train_phase(snapshot, pairs, sup, phase1.schedule[0], phase1)
         run_schedule(params, pairs, sup, cfg)
         for n in partition_filter(params, "A"):
@@ -288,7 +289,7 @@ def test_batch_loss_matches_scalar_oracle():
     # the logged epoch means equal a direct per-sentence recomputation
     params = make_params(6)
     pairs, sup = tiny_corpus(5, seed=4)
-    snapshot = params.copy()
+    snapshot = copy.deepcopy(params)
     cfg = TrainConfig(schedule=[Phase(training.JOINT, "ALL", 1)], batch_size=5, seed=9)
     report = train_phase(params, pairs, sup, cfg.schedule[0], cfg)
 
