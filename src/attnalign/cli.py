@@ -153,12 +153,7 @@ def cmd_prepare(args):
 
 
 def cmd_transform_align(args):
-    src_lines, tgt_lines, align_lines = map(corpus.read_lines, (args.src, args.tgt, args.align))
-    if not (len(src_lines) == len(tgt_lines) == len(align_lines)):
-        raise ValueError(
-            f"line count mismatch: src={len(src_lines)} tgt={len(tgt_lines)} "
-            f"align={len(align_lines)}"
-        )
+    src_lines, tgt_lines, align_lines = corpus.read_line_pair(args.src, args.tgt, args.align)
     cfg = supervision.SmoothingConfig(window=args.window, sigma=args.sigma)
     smoothing = cfg if args.mode == "smooth" else None
     matrices = []
@@ -200,9 +195,6 @@ def cmd_train(args):
     if not pairs:
         raise ValueError("no usable training pairs")
 
-    needs_supervision = c["lambda"] != 0.0 and any(
-        p.objective in (training.ALIGNMENT, training.JOINT) for p in c["schedule"]
-    )
     sup = None
     if c["train_align"] is not None:
         alignments = corpus.load_pharaoh_file(c["train_align"], pairs, n_lines, flip=bool(c["pharaoh_flip"]))
@@ -210,8 +202,8 @@ def cmd_train(args):
         if c["smoothing"]:
             smooth = supervision.SmoothingConfig(window=c["window"], sigma=c["sigma"])
         sup = [supervision.supervision_matrix(a, smooth) for a in alignments]
-    elif needs_supervision:
-        raise ValueError("schedule needs alignment supervision but train_align is not set")
+    elif any(training.needs_supervision(p.objective, c["lambda"]) for p in c["schedule"]):
+        raise ValueError(f"{args.config}: schedule needs alignment supervision but train_align is not set")
 
     dims = ModelDims(
         src_vocab=len(src_vocab),

@@ -166,12 +166,13 @@ def read_lines(path):
         return [line.rstrip("\n") for line in fh]
 
 
-def read_line_pair(path_a, path_b):
-    """The lines of two line-aligned files, which must have as many lines."""
-    a, b = read_lines(path_a), read_lines(path_b)
-    if len(a) != len(b):
-        raise ValueError(f"line count mismatch: {path_a} has {len(a)}, {path_b} has {len(b)}")
-    return a, b
+def read_line_pair(*paths):
+    """The lines of line-aligned files, which must all have as many lines."""
+    lines = [read_lines(path) for path in paths]
+    if len({len(x) for x in lines}) > 1:
+        counts = ", ".join(f"{path} has {len(x)}" for path, x in zip(paths, lines))
+        raise ValueError(f"line count mismatch: {counts}")
+    return lines
 
 
 def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):

@@ -15,9 +15,10 @@ attention matrix, so it can be trained against the A partition alone.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -39,9 +40,9 @@ class ModelDims:
     out: int = 64
 
     def __post_init__(self):
-        for name in ("src_vocab", "tgt_vocab", "embed", "hidden", "attn", "out"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        for f in fields(self):
+            if getattr(self, f.name) < 1:
+                raise ValueError(f"{f.name} must be >= 1")
 
 
 def _gru_shapes(prefix, in_dim, hid_dim):
@@ -86,11 +87,10 @@ def _tensor_shapes(dims):
 
 @dataclass
 class ModelParams:
-    """All trainable tensors, each tagged with partition "A" or "T"."""
+    """All trainable tensors by name, in checkpoint order."""
 
     dims: ModelDims
     tensors: dict
-    partition: dict
     seed: int = 0
 
     def names(self):
@@ -105,23 +105,24 @@ def init_params(dims, seed=0, dtype=np.float64, init_scale=INIT_SCALE):
     """
     rng = np.random.default_rng(seed)
     tensors = {}
-    partition = {}
     for name, shape in _tensor_shapes(dims).items():
         if name.split(".")[-1].startswith("b"):
             tensors[name] = np.zeros(shape, dtype=dtype)
         else:
             tensors[name] = rng.uniform(-init_scale, init_scale, size=shape).astype(dtype, copy=False)
-        partition[name] = "T" if name in OUTPUT_TENSORS else "A"
-    return ModelParams(dims, tensors, partition, seed)
+    return ModelParams(dims, tensors, seed)
+
+
+def partition_of(name):
+    """A tensor's partition: "T" for the output network, else "A"."""
+    return "T" if name in OUTPUT_TENSORS else "A"
 
 
 def partition_filter(params, which):
     """Tensor names in partition "A", "T", or "ALL"."""
-    if which == "ALL":
-        return params.names()
-    if which not in ("A", "T"):
+    if which not in ("A", "T", "ALL"):
         raise ValueError(f"unknown partition {which!r}")
-    return [n for n in params.names() if params.partition[n] == which]
+    return [n for n in params.names() if which in ("ALL", partition_of(n))]
 
 
 def bind(params, tape=None):
@@ -139,8 +140,10 @@ def bind(params, tape=None):
 # id arrays with a (B, L) mask, targets (B, M), and a composed decoder step
 # (``decode_step``) is one set of (B, .) nodes. Sentences never mix: the
 # encoder carries its states across padding, attention gives padded source
-# positions exactly 0, and the losses read only real rows, so a sentence's
-# numbers do not depend on its batch mates.
+# positions exactly 0, and the losses read only real rows. Their last bits
+# still follow the batch's shape, as BLAS may sum a product in another order
+# at another size: between chunks of 1 and of 32 or 150, greedy tokens are
+# equal and attention agrees within 2.2e-6 in float32, 2.9e-15 in float64.
 
 GATES = ("z", "r", "c")
 
@@ -319,9 +322,12 @@ def greedy_step_inputs(params, sources):
 # ---------------------------------------------------------------------------
 # checkpoint format
 #
-# Plain-text header of key=value lines (dims, seed, partition tags), a blank
-# line, then per tensor: name length (u32 LE), name bytes, rank (u32 LE),
-# dims (u32 LE each), values as little-endian float32, row-major.
+# Plain-text header of key=value lines (format, the ModelDims fields, seed,
+# one partition tag per tensor), a blank line, then per tensor: name length
+# (u32 LE), name bytes, rank (u32 LE), dims (u32 LE each), values as
+# little-endian float32, row-major.
+
+FORMAT = "attnalign-checkpoint-1"
 
 
 class CheckpointError(ValueError):
@@ -344,17 +350,10 @@ def save_checkpoint(params, path):
 
 def _write_checkpoint(params, path):
     with open(path, "wb") as fh:
-        header = [
-            "format=attnalign-checkpoint-1",
-            f"src_vocab={params.dims.src_vocab}",
-            f"tgt_vocab={params.dims.tgt_vocab}",
-            f"embed={params.dims.embed}",
-            f"hidden={params.dims.hidden}",
-            f"attn={params.dims.attn}",
-            f"out={params.dims.out}",
-            f"seed={params.seed}",
-        ]
-        header += [f"partition.{n}={params.partition[n]}" for n in params.names()]
+        header = [f"format={FORMAT}"]
+        header += [f"{f.name}={getattr(params.dims, f.name)}" for f in fields(ModelDims)]
+        header += [f"seed={params.seed}"]
+        header += [f"partition.{n}={partition_of(n)}" for n in params.names()]
         fh.write(("\n".join(header) + "\n\n").encode("utf-8"))
         for name in params.names():
             arr = np.ascontiguousarray(params.tensors[name], dtype="<f4")
@@ -367,70 +366,61 @@ def _write_checkpoint(params, path):
 
 
 def load_checkpoint(path):
+    """The ModelParams saved at ``path``; any fault in the file raises
+    ``CheckpointError("<path>: <reason>")``."""
     with open(path, "rb") as fh:
         blob = fh.read()
+    try:
+        return _parse_checkpoint(blob)
+    except ValueError as exc:  # CheckpointError, int(), UnicodeDecodeError, ModelDims
+        raise CheckpointError(f"{path}: {exc}") from None
+
+
+def _parse_checkpoint(blob):
     sep = blob.find(b"\n\n")
     if sep < 0:
         raise CheckpointError("missing header terminator")
     header = {}
     for line in blob[:sep].decode("utf-8").splitlines():
-        if "=" not in line:
+        key, eq, val = line.partition("=")
+        if not eq:
             raise CheckpointError(f"malformed header line {line!r}")
-        key, _, val = line.partition("=")
         header[key] = val
-    if header.get("format") != "attnalign-checkpoint-1":
+    if header.get("format") != FORMAT:
         raise CheckpointError(f"unknown format {header.get('format')!r}")
     try:
-        dims = ModelDims(
-            int(header["src_vocab"]),
-            int(header["tgt_vocab"]),
-            int(header["embed"]),
-            int(header["hidden"]),
-            int(header["attn"]),
-            int(header["out"]),
-        )
+        dims = ModelDims(**{f.name: int(header[f.name]) for f in fields(ModelDims)})
         seed = int(header["seed"])
     except KeyError as exc:
         raise CheckpointError(f"missing header key {exc}") from None
 
+    off = sep + 2
+
+    def take(n, what):
+        nonlocal off
+        if off + n > len(blob):
+            raise CheckpointError(f"truncated {what} at offset {off}")
+        off += n
+        return blob[off - n : off]  # a copy: a memoryview slice may leave a payload unaligned
+
     expected = _tensor_shapes(dims)
     tensors = {}
-    partition = {}
-    off = sep + 2
     while off < len(blob):
-        if off + 4 > len(blob):
-            raise CheckpointError(f"truncated at offset {off}")
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + name_len + 4 > len(blob):
-            raise CheckpointError(f"truncated at offset {off}")
-        name = blob[off : off + name_len].decode("utf-8")
-        off += name_len
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        if off + 4 * rank > len(blob):
-            raise CheckpointError(f"truncated at offset {off}")
-        shape = struct.unpack_from(f"<{rank}I", blob, off)
-        off += 4 * rank
+        (name_len,) = struct.unpack("<I", take(4, "name length"))
+        name = take(name_len, "tensor name").decode("utf-8")
         if name not in expected:
             raise CheckpointError(f"unexpected tensor {name!r} at offset {off}")
+        (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
+        shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
         if shape != expected[name]:
             raise CheckpointError(
                 f"tensor {name!r}: header dims imply {expected[name]}, payload says {shape}"
             )
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
-        if off + nbytes > len(blob):
-            raise CheckpointError(f"truncated tensor {name!r} at offset {off}")
-        arr = np.frombuffer(blob[off : off + nbytes], dtype="<f4").reshape(shape)
-        off += nbytes
-        tensors[name] = arr.astype(np.float32)
-        tag = header.get(f"partition.{name}")
-        if tag not in ("A", "T"):
+        if header.get(f"partition.{name}") != partition_of(name):
             raise CheckpointError(f"missing or bad partition tag for {name!r}")
-        partition[name] = tag
+        payload = take(4 * math.prod(shape), f"tensor {name!r}")
+        tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
     missing = set(expected) - set(tensors)
     if missing:
         raise CheckpointError(f"missing tensors: {sorted(missing)}")
-    ordered = {name: tensors[name] for name in expected}
-    return ModelParams(dims, ordered, partition, seed)
+    return ModelParams(dims, {name: tensors[name] for name in expected}, seed)

@@ -622,11 +622,10 @@ def backward(tape, loss, wanted=None):
     with the activations they hold, so memory holds only what is still
     needed and a tape supports one backward pass.
 
-    Repeated contributions are added in place, but only into arrays that
-    backward allocated itself: an array a VJP returned may be shared (the
-    VJPs of ``add`` hand the same array to both parents) and is never
-    written to. ``a += g`` rounds exactly like ``a + g``, so identical
-    tapes give bit-identical gradients.
+    Repeated contributions are summed out of place, ``acc + g``: an array
+    a VJP returned may be shared (the VJPs of ``add`` hand the same array
+    to both parents) and is never written to. Identical tapes give
+    bit-identical gradients.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
         raise ValueError("loss was not produced on this tape")
@@ -644,7 +643,6 @@ def backward(tape, loss, wanted=None):
             if nodes[nid] and any(reach[pid] for pid, _ in nodes[nid]):
                 reach[nid] = 1
     adjoints = [None] * len(nodes)
-    owned = set()  # ids whose adjoint array backward allocated
     adjoints[loss.node] = np.asarray(1.0, dtype=loss.data.dtype)
     for nid in range(loss.node, -1, -1):
         a = adjoints[nid]
@@ -659,14 +657,7 @@ def backward(tape, loss, wanted=None):
                 continue
             g = vjp(a)
             acc = adjoints[pid]
-            if acc is None:
-                adjoints[pid] = g
-            elif pid in owned:
-                acc += g
-                adjoints[pid] = acc  # a 0-d sum is a numpy scalar, which += rebinds
-            else:
-                adjoints[pid] = acc + g
-                owned.add(pid)
+            adjoints[pid] = g if acc is None else acc + g
     return adjoints
 
 

@@ -110,6 +110,12 @@ def parse_schedule(text, total_epochs=10):
 # objectives
 
 
+def needs_supervision(objective, align_weight):
+    """Whether ``objective`` reads supervision matrices: ALIGN always does,
+    JOINT unless its alignment weight is 0, TRANS never."""
+    return objective == ALIGNMENT or (objective == JOINT and align_weight != 0.0)
+
+
 def sentence_loss(trace, sup, kind, align_weight=1.0):
     """Scalar loss Tensor, summed over the trace's sentences.
 
@@ -121,7 +127,7 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
     """
     if kind not in OBJECTIVES:
         raise ValueError(f"unknown objective {kind!r}")
-    if kind == TRANSLATION or (kind == JOINT and align_weight == 0.0):
+    if not needs_supervision(kind, align_weight):
         return trace.nll
     if sup is None:
         raise ValueError(f"{kind} objective requires a supervision matrix")
@@ -311,7 +317,7 @@ def batch_step(params, batch, phase, config, state, trainable):
 
 def train_phase(params, pairs, supervision, phase, config, epoch_offset=0, log_fh=None):
     """Run one phase in place; only tensors in phase.trainable change."""
-    if phase.objective in (ALIGNMENT, JOINT) and config.align_weight != 0.0 and supervision is None:
+    if needs_supervision(phase.objective, config.align_weight) and supervision is None:
         raise ValueError(f"{phase.objective} phase requires supervision matrices")
     trainable = partition_filter(params, phase.trainable)
     state = AdaDeltaState()

@@ -194,6 +194,19 @@ class TestTrain:
         )
         assert run("train", "--config", str(cfg)) == 2
 
+    def test_align_phase_without_alignments_fails_before_training(self, copy_corpus, tmp_path, caplog):
+        # ALIGN needs supervision even at lambda=0; the config is refused up front
+        cfg = tmp_path / "c.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m",
+                           extra=f"schedule=A\nlambda=0\nlog={tmp_path / 'train.log'}\n")
+        cfg.write_text("".join(ln + "\n" for ln in cfg.read_text().splitlines()
+                               if not ln.startswith("train_align=")))
+        assert run("train", "--config", str(cfg)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(f"{cfg}: ")
+        assert "epoch" not in caplog.text
+        assert not (tmp_path / "train.log").exists()
+
     def test_missing_config_file_fails(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "nope.cfg")) == 2
 
@@ -300,6 +313,16 @@ class TestScoring:
         r.write_text(f"{text}\n")
         assert run(command, "--hyp", str(h), ref_flag, str(r)) == 2
         assert f"line count mismatch: {h} has 2, {r} has 1" in caplog.text
+
+    def test_transform_align_line_count_mismatch_names_every_file(self, tmp_path, caplog):
+        src, tgt, align = tmp_path / "a.src", tmp_path / "a.tgt", tmp_path / "a.align"
+        src.write_text("x y\nx y\n")
+        tgt.write_text("x y\n")
+        align.write_text("0-0\n1-1\n")
+        assert run("transform-align", "--align", str(align), "--src", str(src), "--tgt", str(tgt),
+                   "--out", str(tmp_path / "out.txt")) == 2
+        assert f"line count mismatch: {src} has 2, {tgt} has 1, {align} has 2" in caplog.text
+        assert not (tmp_path / "out.txt").exists()
 
 
 class TestDecodeCommands:
@@ -431,6 +454,42 @@ class TestDecodeCommands:
         assert f"{bad}: vocabulary has {rows + extra} entries, checkpoint expects {rows}" in caplog.text
         assert not out.exists()
 
+
+    # r is the first tensor record: u32 name length, b"src_emb", u32 rank 2,
+    # two u32 dims, then the payload
+    @pytest.mark.parametrize(
+        "damage, reason",
+        [
+            (lambda b, r: b[: b.index(b"\n\n") // 2], "missing header terminator"),
+            (lambda b, r: b[: r + 4 + 2], "truncated tensor name"),
+            (lambda b, r: b[: r + 4 + 7 + 4 + 2], "truncated shape of 'src_emb'"),
+            (lambda b, r: b[: r + 4 + 7 + 4 + 8 + 5], "truncated tensor 'src_emb'"),
+            (lambda b, r: b.replace(b"format", b"f\xffrmat", 1), "can't decode byte 0xff"),
+            (lambda b, r: b.replace(b"hidden=4", b"hidden=abc", 1), "invalid literal for int()"),
+            (lambda b, r: b.replace(b"hidden=4", b"hidden=0", 1), "hidden must be >= 1"),
+            (lambda b, r: b.replace(b"partition.attn.v=A", b"partition.attn.v=X", 1),
+             "missing or bad partition tag for 'attn.v'"),
+            (lambda b, r: b.replace(b"partition.out.W2=T", b"partition.out.W2=A", 1),
+             "missing or bad partition tag for 'out.W2'"),
+        ],
+        ids=["cut-header", "cut-name", "cut-shape", "cut-payload", "non-utf8", "hidden-abc",
+             "hidden-0", "partition-X", "partition-swapped"],
+    )
+    def test_damaged_checkpoint_is_one_line_error_naming_it(
+        self, copy_corpus, trained, caplog, damage, reason
+    ):
+        blob = (trained / "m.ckpt").read_bytes()
+        bad = trained / "bad.ckpt"
+        bad.write_bytes(damage(blob, blob.index(b"\n\n") + 2))
+        out = trained / "out.txt"
+        assert run("translate", "--checkpoint", str(bad), "--src-vocab", str(trained / "v.src.vocab"),
+                   "--tgt-vocab", str(trained / "v.tgt.vocab"), "--src", copy_corpus + ".src",
+                   "--out", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert len(errors) == 1 and errors[0].startswith(f"{bad}: "), errors
+        assert reason in errors[0]
+        assert "Traceback" not in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["translate", "dump-attn"])
     def test_reserved_token_in_input_is_one_line_error(self, copy_corpus, trained, caplog, command):

@@ -106,8 +106,8 @@ class TestInit:
 
     def test_partition_tags(self):
         p = make_params()
-        assert p.partition["out.W2"] == "T"
-        assert p.partition["attn.v"] == "A"
+        assert "out.W2" in partition_filter(p, "T")
+        assert "attn.v" in partition_filter(p, "A")
 
     def test_exactly_three_output_tensors_in_t(self):
         p = make_params()
@@ -315,7 +315,7 @@ class TestCheckpoint:
         assert again.names() == p.names()
         for name in p.names():
             assert np.array_equal(again.tensors[name], p.tensors[name])
-        assert again.partition == p.partition
+        assert [partition_filter(again, w) for w in "AT"] == [partition_filter(p, w) for w in "AT"]
         # save -> load -> save produces byte-identical files
         path2 = tmp_path / "m2.ckpt"
         save_checkpoint(again, path2)
