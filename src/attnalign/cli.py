@@ -39,16 +39,15 @@ class Config(dict):
 
 def parse_config_file(path):
     cfg = Config()
-    with open(path, encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{ln}: expected key=value")
-            key, _, val = line.partition("=")
-            cfg[key.strip()] = val.strip()
-            cfg.lines[key.strip()] = ln
+    for ln, line in enumerate(corpus.read_lines(path), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{ln}: expected key=value")
+        key, _, val = line.partition("=")
+        cfg[key.strip()] = val.strip()
+        cfg.lines[key.strip()] = ln
     return cfg
 
 

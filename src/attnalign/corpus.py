@@ -74,8 +74,7 @@ class Vocab:
     def load(cls, path):
         """The vocabulary ``save`` wrote: empty lines are skipped, a repeated
         token keeps its first id, and a reserved token is an error."""
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
+        lines = read_lines(path)
         reserved = set(RESERVED).intersection(lines)
         if reserved:
             lineno = min(lines.index(t) for t in reserved) + 1
@@ -98,26 +97,17 @@ def build_vocab(path, max_size):
     """Most-frequent tokens up to max_size; ties broken by first occurrence.
     A literal <unk> is not counted, and a literal <pad> or <eos> is an
     error."""
-    counts = Counter()
-    first_seen = {}
-    n_lines = 0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                n_lines += 1
-            for tok in tokens:
-                counts[tok] += 1
-                if tok not in first_seen:
-                    first_seen[tok] = len(first_seen)
-    if n_lines == 0:
+    counts = Counter()  # in order of first occurrence
+    lines = read_lines(path)
+    for line in lines:
+        counts.update(line.split())
+    if not counts:
         raise ValueError(f"empty corpus: {path}")
     if any(t in counts for t in NOT_IN_TEXT):
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                check_text_tokens(path, lineno, line.split())
+        for lineno, line in enumerate(lines, 1):
+            check_text_tokens(path, lineno, line.split())
     counts.pop(UNK_TOKEN, None)
-    ranked = sorted(counts, key=lambda t: (-counts[t], first_seen[t]))
+    ranked = sorted(counts, key=counts.__getitem__, reverse=True)  # stable: ties keep that order
     return Vocab(ranked[:max_size])
 
 
@@ -159,11 +149,21 @@ def encode_pair(src_line, tgt_line, src_vocab, tgt_vocab, pair_index=0):
 
 
 def read_lines(path):
-    """A UTF-8 text file's lines without their ends, split at "\\n" only,
-    as iterating over the file splits them: a U+2028 or a form feed stays
-    inside its line."""
-    with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n") for line in fh]
+    """A UTF-8 text file's lines without their ends, as iterating over the
+    file splits them: at "\\n", "\\r\\n" or "\\r" only, so a U+2028 or a
+    form feed stays inside its line. The first line that is not UTF-8
+    raises ``path:line: not UTF-8``."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    blob = blob.replace(b"\r\n", b"\n").replace(b"\r", b"\n")  # no multibyte character holds either
+    try:
+        lines = blob.decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        lineno = blob.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}:{lineno}: not UTF-8") from None
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, or an empty file
+    return lines
 
 
 def read_line_pair(*paths):

@@ -125,12 +125,14 @@ def partition_filter(params, which):
     return [n for n in params.names() if which in ("ALL", partition_of(n))]
 
 
-def bind(params, tape=None):
-    """Every parameter as a tracked leaf on ``tape``, or as an untracked
-    tensor when ``tape`` is None, so decoding records nothing."""
-    if tape is None:
-        return {name: T.Tensor(arr) for name, arr in params.tensors.items()}
-    return {name: tape.var(arr) for name, arr in params.tensors.items()}
+def bind(params, tape=None, trainable=None):
+    """Every parameter as a tensor by name: the ``trainable`` ones (by
+    default all) as tracked leaves on ``tape``, the rest untracked, so the
+    tape records nothing that reads only frozen tensors. Without a tape
+    nothing is tracked and decoding records nothing."""
+    leaves = () if tape is None else params.tensors if trainable is None else trainable
+    return {name: tape.var(arr) if name in leaves else T.Tensor(arr)
+            for name, arr in params.tensors.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +299,14 @@ def teacher_forced(tv, batch, with_log_probs=True, nll_grad=True):
     return (*T.pick_nll(o, w, batch.tgt_ids, batch.tgt_mask.sum(axis=1)), attention)
 
 
-def forward_teacher_forced(params, batch, nll_grad=True):
+def forward_teacher_forced(params, batch, nll_grad=True, trainable=None):
     """Run the model on a Batch, feeding reference target tokens; records
-    on a fresh tape. The first decoder input is a learned begin-of-sentence
+    on a fresh tape, with the ``trainable`` parameters (by default all) as
+    its leaves. The first decoder input is a learned begin-of-sentence
     embedding. Deterministic. Without ``nll_grad`` the NLL is untracked,
     for an objective that does not read it."""
     tape = T.Tape(next(iter(params.tensors.values())).dtype)
-    tv = bind(params, tape)
+    tv = bind(params, tape, trainable)
     nll, log_probs, attention = teacher_forced(tv, batch, nll_grad=nll_grad)
     return DecoderTrace(nll, log_probs, attention, tape, tv,
                         batch.src_mask.sum(axis=1), batch.tgt_mask.sum(axis=1))
@@ -372,7 +375,7 @@ def load_checkpoint(path):
         blob = fh.read()
     try:
         return _parse_checkpoint(blob)
-    except ValueError as exc:  # CheckpointError, int(), UnicodeDecodeError, ModelDims
+    except ValueError as exc:  # CheckpointError, UnicodeDecodeError, ModelDims
         raise CheckpointError(f"{path}: {exc}") from None
 
 
@@ -388,11 +391,16 @@ def _parse_checkpoint(blob):
         header[key] = val
     if header.get("format") != FORMAT:
         raise CheckpointError(f"unknown format {header.get('format')!r}")
-    try:
-        dims = ModelDims(**{f.name: int(header[f.name]) for f in fields(ModelDims)})
-        seed = int(header["seed"])
-    except KeyError as exc:
-        raise CheckpointError(f"missing header key {exc}") from None
+    ints = {}
+    for key in [f.name for f in fields(ModelDims)] + ["seed"]:
+        try:
+            ints[key] = int(header[key])
+        except KeyError:
+            raise CheckpointError(f"missing header key {key!r}") from None
+        except ValueError:
+            raise CheckpointError(f"{key} must be int, got {header[key]!r}") from None
+    seed = ints.pop("seed")
+    dims = ModelDims(**ints)
 
     off = sep + 2
 

@@ -78,7 +78,6 @@ class Tape:
     def __init__(self, dtype=np.float64):
         self.dtype = np.dtype(dtype)
         self._nodes = []
-        self.leaves = 0
 
     def __len__(self):
         return len(self._nodes)
@@ -88,7 +87,6 @@ class Tape:
         data = np.asarray(value, dtype=self.dtype)
         nid = len(self._nodes)
         self._nodes.append(())
-        self.leaves += 1
         return Tensor(data, self, nid)
 
 
@@ -611,16 +609,16 @@ def pick_nll(h, w, ids, lengths):
 # backward
 
 
-def backward(tape, loss, wanted=None):
+def backward(tape, loss):
     """Adjoints of the tape's leaves with respect to a scalar loss.
 
     Returns a list indexed by node id: each leaf (``Tape.var``) the loss
-    depends on holds its adjoint, every other entry is None. Given the ids
-    of the ``wanted`` leaves, short of all of them, no VJP runs into a node
-    from which none of them can be reached. An interior node's adjoint is
-    released as soon as its VJPs have run, and so are the VJPs themselves
-    with the activations they hold, so memory holds only what is still
-    needed and a tape supports one backward pass.
+    depends on holds its adjoint, every other entry is None. The tape holds
+    only what a leaf reaches, since a node whose inputs are all untracked is
+    never recorded, so every VJP that runs leads to a leaf. An interior
+    node's adjoint is released as soon as its VJPs have run, and so are the
+    VJPs themselves with the activations they hold, so memory holds only
+    what is still needed and a tape supports one backward pass.
 
     Repeated contributions are summed out of place, ``acc + g``: an array
     a VJP returned may be shared (the VJPs of ``add`` hand the same array
@@ -634,14 +632,6 @@ def backward(tape, loss, wanted=None):
     nodes = tape._nodes
     if nodes[loss.node] is None:
         raise ValueError("backward: an earlier pass already released this tape")
-    reach = None
-    if wanted is not None and len(set(wanted)) < tape.leaves:
-        reach = bytearray(len(nodes))
-        for nid in wanted:
-            reach[nid] = 1
-        for nid in range(loss.node + 1):
-            if nodes[nid] and any(reach[pid] for pid, _ in nodes[nid]):
-                reach[nid] = 1
     adjoints = [None] * len(nodes)
     adjoints[loss.node] = np.asarray(1.0, dtype=loss.data.dtype)
     for nid in range(loss.node, -1, -1):
@@ -653,8 +643,6 @@ def backward(tape, loss, wanted=None):
             continue
         adjoints[nid] = None
         for pid, vjp in parents:
-            if reach is not None and not reach[pid]:
-                continue
             g = vjp(a)
             acc = adjoints[pid]
             adjoints[pid] = g if acc is None else acc + g
@@ -662,9 +650,9 @@ def backward(tape, loss, wanted=None):
 
 
 def gradients(tape, loss, wrt):
-    """Gradient map for named leaf tensors; untouched leaves get zeros.
-    Backward runs only the VJPs that lead to one of them."""
-    adjoints = backward(tape, loss, [t.node for t in wrt.values()])
+    """Gradient map for named leaf tensors; untouched leaves get zeros, and
+    so does every leaf when the loss is untracked (it reads no leaf)."""
+    adjoints = backward(tape, loss) if loss.tape is not None else [None] * len(tape)
     grads = {}
     for name, t in wrt.items():
         g = adjoints[t.node]

@@ -297,13 +297,15 @@ class PhaseReport:
 
 
 def batch_step(params, batch, phase, config, state, trainable):
-    """Forward and backward over the whole batch on one tape, then one
-    AdaDelta update.
+    """Forward and backward over the whole batch on one tape, whose leaves
+    are the ``trainable`` tensors, then one AdaDelta update. A loss that
+    reads none of them (ALIGN on partition T) gives zero gradients.
 
     Batch loss is the mean of per-sentence losses; returns summed
     (translation nll, alignment distance) for logging.
     """
-    trace = forward_teacher_forced(params, batch, nll_grad=phase.objective != ALIGNMENT)
+    trace = forward_teacher_forced(params, batch, nll_grad=phase.objective != ALIGNMENT,
+                                   trainable=trainable)
     loss = sentence_loss(trace, batch.supervision, phase.objective, config.align_weight)
     g = T.gradients(trace.tape, loss, {n: trace.leaves[n] for n in trainable})
     # scaled into new arrays (leaf adjoints may share memory), releasing each

@@ -465,7 +465,8 @@ class TestDecodeCommands:
             (lambda b, r: b[: r + 4 + 7 + 4 + 2], "truncated shape of 'src_emb'"),
             (lambda b, r: b[: r + 4 + 7 + 4 + 8 + 5], "truncated tensor 'src_emb'"),
             (lambda b, r: b.replace(b"format", b"f\xffrmat", 1), "can't decode byte 0xff"),
-            (lambda b, r: b.replace(b"hidden=4", b"hidden=abc", 1), "invalid literal for int()"),
+            (lambda b, r: b.replace(b"hidden=4", b"hidden=abc", 1), "hidden must be int, got 'abc'"),
+            (lambda b, r: b.replace(b"seed=0", b"seed=1.5", 1), "seed must be int, got '1.5'"),
             (lambda b, r: b.replace(b"hidden=4", b"hidden=0", 1), "hidden must be >= 1"),
             (lambda b, r: b.replace(b"partition.attn.v=A", b"partition.attn.v=X", 1),
              "missing or bad partition tag for 'attn.v'"),
@@ -473,7 +474,7 @@ class TestDecodeCommands:
              "missing or bad partition tag for 'out.W2'"),
         ],
         ids=["cut-header", "cut-name", "cut-shape", "cut-payload", "non-utf8", "hidden-abc",
-             "hidden-0", "partition-X", "partition-swapped"],
+             "seed-float", "hidden-0", "partition-X", "partition-swapped"],
     )
     def test_damaged_checkpoint_is_one_line_error_naming_it(
         self, copy_corpus, trained, caplog, damage, reason
@@ -506,6 +507,64 @@ class TestDecodeCommands:
         assert run(*args) == 2
         assert f"{src}:3: reserved token '<eos>'" in caplog.text
         assert not out.exists()
+
+
+# every text file each command reads, by its key in ``files`` below
+NON_UTF8_INPUTS = [
+    ("prepare", "src"), ("prepare", "tgt"),
+    ("transform-align", "align"), ("transform-align", "src"), ("transform-align", "tgt"),
+    ("train", "config"), ("train", "src_vocab"), ("train", "tgt_vocab"), ("train", "src"),
+    ("train", "tgt"), ("train", "align"),
+    ("translate", "src_vocab"), ("translate", "tgt_vocab"), ("translate", "src"),
+    ("dump-attn", "src_vocab"), ("dump-attn", "tgt_vocab"), ("dump-attn", "src"),
+    ("dump-attn", "tgt"),
+    ("score-align", "align"), ("score-align", "gold"),
+    ("score-bleu", "src"), ("score-bleu", "tgt"),
+]
+
+
+@pytest.mark.parametrize("command, bad", NON_UTF8_INPUTS, ids=[f"{c}-{b}" for c, b in NON_UTF8_INPUTS])
+def test_non_utf8_input_is_one_line_error_naming_file_and_line(
+    copy_corpus, tmp_path, caplog, command, bad
+):
+    assert run("prepare", "--src", copy_corpus + ".src", "--tgt", copy_corpus + ".tgt",
+               "--out-prefix", str(tmp_path / "v")) == 0
+    cfg = tmp_path / "train.cfg"
+    write_train_config(cfg, copy_corpus, tmp_path / "m",
+                       extra=f"src_vocab={tmp_path}/v.src.vocab\ntgt_vocab={tmp_path}/v.tgt.vocab\n")
+    assert run("train", "--config", str(cfg)) == 0
+    # copies of every input in their own directory, one of them with a 0xff byte on line 2
+    inputs = tmp_path / "inputs"
+    inputs.mkdir()
+    names = {"src": "toy.src", "tgt": "toy.tgt", "align": "toy.align", "gold": "toy.align",
+             "src_vocab": "v.src.vocab", "tgt_vocab": "v.tgt.vocab"}
+    files = {key: inputs / ("gold.align" if key == "gold" else name) for key, name in names.items()}
+    for key, name in names.items():
+        files[key].write_bytes((tmp_path / name).read_bytes())
+    files["config"] = inputs / "train.cfg"
+    write_train_config(files["config"], inputs / "toy", tmp_path / "m2",
+                       extra=f"src_vocab={files['src_vocab']}\ntgt_vocab={files['tgt_vocab']}\n")
+    lines = files[bad].read_bytes().split(b"\n")
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    files[bad].write_bytes(b"\n".join(lines))
+    f = {key: str(path) for key, path in files.items()}
+    out = str(tmp_path / "out")
+    decode = ["--checkpoint", str(tmp_path / "m.ckpt"), "--src-vocab", f["src_vocab"],
+              "--tgt-vocab", f["tgt_vocab"], "--src", f["src"], "--out", out]
+    argv = {
+        "prepare": ["--src", f["src"], "--tgt", f["tgt"], "--out-prefix", out],
+        "transform-align": ["--align", f["align"], "--src", f["src"], "--tgt", f["tgt"], "--out", out],
+        "train": ["--config", f["config"]],
+        "translate": decode,
+        "dump-attn": decode + ["--tgt", f["tgt"]],
+        "score-align": ["--hyp", f["align"], "--gold", f["gold"]],
+        "score-bleu": ["--hyp", f["src"], "--ref", f["tgt"]],
+    }[command]
+    caplog.clear()
+    assert run(command, *argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{files[bad]}:2: not UTF-8"]
+    assert not (tmp_path / "m2.ckpt").exists()
 
 
 def test_prepare_rejects_a_reserved_token(copy_corpus, tmp_path, caplog):

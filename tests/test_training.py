@@ -349,38 +349,53 @@ def test_translation_step_on_the_output_partition_runs_backward_into_it_only(mon
     params = make_params(6)
     pairs, sup = tiny_corpus(5, seed=4)
     (batch,) = make_batches(pairs, 5, seed=9, supervision=sup)
-    decoder_vjps, runs = [], []
-    attention_decoder, backward = T.attention_decoder, T.backward
-
-    def counted_decoder(*args):
-        out = attention_decoder(*args)
-        nodes = out.tape._nodes
-        nodes[out.node] = tuple((pid, lambda g, f=f: decoder_vjps.append(1) or f(g))
-                                for pid, f in nodes[out.node])
-        return out
-
-    def kept_backward(tape, loss, wanted=None):
-        runs.append(backward(tape, loss, wanted))
-        return runs[-1]
-
-    monkeypatch.setattr(T, "attention_decoder", counted_decoder)
-    monkeypatch.setattr(T, "backward", kept_backward)
-    trace = forward_teacher_forced(params, batch)
-    T.backward(trace.tape, sentence_loss(trace, None, training.TRANSLATION))  # every leaf
-    assert decoder_vjps
-    decoder_vjps.clear()
     trainable = partition_filter(params, "T")
+    recurrent_tracked, runs = [], []
+    gradients = T.gradients
+
+    def watched(primitive):
+        def run(*args):
+            out = primitive(*args)
+            recurrent_tracked.append(out.tape is not None)
+            return out
+
+        return run
+
+    def kept_gradients(tape, loss, wrt):
+        runs.append(gradients(tape, loss, wrt))
+        return dict(runs[-1])
+
+    for name in ("attention_decoder", "gru_sequence"):
+        monkeypatch.setattr(T, name, watched(getattr(T, name)))
+    monkeypatch.setattr(T, "gradients", kept_gradients)
+    trace = forward_teacher_forced(params, batch)  # every parameter a leaf
+    T.gradients(trace.tape, sentence_loss(trace, None, training.TRANSLATION),
+                {n: trace.leaves[n] for n in trainable})
+    assert recurrent_tracked == [True] * 3
+    recurrent_tracked.clear()
     phase = Phase(training.TRANSLATION, "T", 1)
     cfg = TrainConfig(schedule=[phase], batch_size=5)
     training.batch_step(params, batch, phase, cfg, AdaDeltaState(), trainable)
-    # the step's tape is laid out as the unpruned one, so node ids match
-    full, pruned = runs
-    nodes = sorted(trace.leaves[n].node for n in trainable)
-    assert sorted(trainable) == ["out.W1", "out.W2", "out.b1"] and not decoder_vjps
-    assert sum(a is not None for a in full) == len(params.names())
-    assert [k for k, a in enumerate(pruned) if a is not None] == nodes
-    for k in nodes:
-        assert np.array_equal(pruned[k], full[k])
+    # the step's tape records neither encoder direction nor the decoder
+    assert sorted(trainable) == ["out.W1", "out.W2", "out.b1"]
+    assert recurrent_tracked == [False] * 3
+    full, step = runs
+    for n in trainable:
+        assert step[n].tobytes() == full[n].tobytes(), n
+
+
+def test_alignment_phase_on_the_output_partition_changes_nothing():
+    # the attention reads no output-layer tensor: the loss is untracked and
+    # every gradient is zero
+    params = make_params(7)
+    before = copy.deepcopy(params.tensors)
+    pairs, sup = tiny_corpus(6, seed=5)
+    phase = Phase(training.ALIGNMENT, "T", 2)
+    cfg = TrainConfig(schedule=[phase], batch_size=3)
+    report = train_phase(params, pairs, sup, phase, cfg)
+    assert len(report.epochs) == 2 and report.epochs[-1].mean_alignment_distance > 0
+    for n, arr in before.items():
+        assert params.tensors[n].tobytes() == arr.tobytes(), n
 
 
 def test_phase_reports_skipped_batches(caplog):
