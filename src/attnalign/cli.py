@@ -244,12 +244,10 @@ def _load_model_and_vocabs(args):
 
 def cmd_translate(args):
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
-    lines = [line.split() for line in corpus.read_lines(args.src)]
-    for lineno, tokens in enumerate(lines, 1):
-        corpus.check_text_tokens(args.src, lineno, tokens)
-    kept = [k for k, tokens in enumerate(lines) if tokens]
-    sources = [src_vocab.encode(lines[k]) + [corpus.EOS_ID] for k in kept]
-    hyps = evaluation.greedy_decode_all(params, sources, max_len=args.max_len)
+    lines = corpus.read_lines(args.src)
+    sources = [corpus.encode_line(args.src, n, line, src_vocab) for n, line in enumerate(lines, 1)]
+    kept = [k for k, ids in enumerate(sources) if ids is not None]
+    hyps = evaluation.greedy_decode_all(params, [sources[k] for k in kept], max_len=args.max_len)
     out_lines = [""] * len(lines)
     for k, hyp in zip(kept, hyps):
         out_lines[k] = " ".join(tgt_vocab.decode(t for t in hyp.token_ids if t != corpus.EOS_ID))
@@ -301,6 +299,8 @@ def cmd_score_align(args):
 
 def cmd_score_bleu(args):
     hyp_lines, ref_lines = corpus.read_line_pair(args.hyp, args.ref)
+    if not hyp_lines:
+        raise ValueError(f"empty corpus: {args.hyp} and {args.ref} have no lines")
     report = evaluation.bleu([h.split() for h in hyp_lines], [r.split() for r in ref_lines])
     print(report.format_line())
     return 0

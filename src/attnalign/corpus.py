@@ -34,23 +34,16 @@ NOT_IN_TEXT = (PAD_TOKEN, EOS_TOKEN)
 
 
 class Vocab:
-    """Token <-> id map with reserved ids pad=0, eos=1, unk=2."""
+    """Token <-> id map: the reserved ids pad=0, eos=1, unk=2, then
+    ``tokens`` in order, a repeated token keeping its first id. A reserved
+    token among ``tokens`` is an error."""
 
     def __init__(self, tokens=()):
-        self.id_to_token = list(RESERVED)
+        self.id_to_token = RESERVED + list(dict.fromkeys(tokens))
         self.token_to_id = {t: i for i, t in enumerate(self.id_to_token)}
-        for tok in tokens:
-            self.add(tok)
-
-    def add(self, token):
-        if token in RESERVED:
+        if len(self.token_to_id) < len(self.id_to_token):
+            token = next(t for t in self.id_to_token[len(RESERVED):] if t in RESERVED)
             raise ValueError(f"reserved token {token!r} cannot be re-added")
-        if token in self.token_to_id:
-            return self.token_to_id[token]
-        idx = len(self.id_to_token)
-        self.id_to_token.append(token)
-        self.token_to_id[token] = idx
-        return idx
 
     def __len__(self):
         return len(self.id_to_token)
@@ -73,16 +66,16 @@ class Vocab:
     @classmethod
     def load(cls, path):
         """The vocabulary ``save`` wrote: empty lines are skipped, a repeated
-        token keeps its first id, and a reserved token is an error."""
+        token keeps its first id, and a reserved token or a file without
+        a token is an error."""
         lines = read_lines(path)
         reserved = set(RESERVED).intersection(lines)
         if reserved:
             lineno = min(lines.index(t) for t in reserved) + 1
             raise ValueError(f"{path}:{lineno}: reserved token {lines[lineno - 1]!r} in a vocabulary file")
-        vocab = cls()
-        vocab.id_to_token += list(dict.fromkeys(t for t in lines if t))
-        vocab.token_to_id = {t: i for i, t in enumerate(vocab.id_to_token)}
-        return vocab
+        if not any(lines):
+            raise ValueError(f"{path}: empty vocabulary")
+        return cls(t for t in lines if t)
 
 
 def check_text_tokens(path, lineno, tokens):
@@ -135,17 +128,14 @@ class SentencePair:
         return len(self.tgt_ids)
 
 
-def encode_pair(src_line, tgt_line, src_vocab, tgt_vocab, pair_index=0):
-    """Encode one line pair, appending eos; None if either side is empty."""
-    src_tokens = src_line.split()
-    tgt_tokens = tgt_line.split()
-    if not src_tokens or not tgt_tokens:
-        return None
-    return SentencePair(
-        src_vocab.encode(src_tokens) + [EOS_ID],
-        tgt_vocab.encode(tgt_tokens) + [EOS_ID],
-        pair_index,
-    )
+def encode_line(path, lineno, line, vocab):
+    """Line ``lineno`` of the text file ``path`` -> its token ids plus eos,
+    or None if it holds no token. A literal <pad> or <eos> raises
+    ``path:lineno: reserved token '<eos>'``."""
+    tokens = line.split()
+    if "<" in line:
+        check_text_tokens(path, lineno, tokens)
+    return vocab.encode(tokens) + [EOS_ID] if tokens else None
 
 
 def read_lines(path):
@@ -176,7 +166,8 @@ def read_line_pair(*paths):
 
 
 def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
-    """Line-aligned corpus -> SentencePairs; empty or over-long pairs skipped.
+    """Line-aligned corpus -> SentencePairs, both sides through
+    ``encode_line``, source first; empty or over-long pairs skipped.
 
     Returns (pairs, line count); each pair's ``pair_index`` is its 0-based
     input line, so callers can subset a parallel alignment file.
@@ -185,17 +176,14 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
     pairs = []
     skipped_empty = skipped_long = 0
     for n, (s, t) in enumerate(zip(src_lines, tgt_lines)):
-        for path, line in ((src_path, s), (tgt_path, t)):
-            if "<" in line:
-                check_text_tokens(path, n + 1, line.split())
-        pair = encode_pair(s, t, src_vocab, tgt_vocab, pair_index=n)
-        if pair is None:
+        src_ids = encode_line(src_path, n + 1, s, src_vocab)
+        tgt_ids = encode_line(tgt_path, n + 1, t, tgt_vocab)
+        if src_ids is None or tgt_ids is None:
             skipped_empty += 1
-            continue
-        if max_len is not None and (pair.src_len - 1 > max_len or pair.tgt_len - 1 > max_len):
+        elif max_len is not None and max(len(src_ids), len(tgt_ids)) - 1 > max_len:
             skipped_long += 1
-            continue
-        pairs.append(pair)
+        else:
+            pairs.append(SentencePair(src_ids, tgt_ids, n))
     if skipped_empty:
         log.warning("skipped %d pairs with an empty side", skipped_empty)
     if skipped_long:

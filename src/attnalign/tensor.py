@@ -200,11 +200,7 @@ def matvec(w, x):
         _check_shapes("matvec", w.data.shape, x.data.shape)
     wd, xd = w.data, x.data
     out = xd @ wd.T
-
-    def w_vjp(g):
-        return g.reshape(-1, g.shape[-1]).T @ xd.reshape(-1, xd.shape[-1])
-
-    return _record(out, [(w, w_vjp), (x, lambda g: g @ wd)])
+    return _record(out, [(w, lambda g: _outer(g, xd)), (x, lambda g: g @ wd)])
 
 
 def vecmat(v, m):
@@ -224,11 +220,7 @@ def matmul(a, b):
         _check_shapes("matmul", a.data.shape, b.data.shape)
     ad, bd = a.data, b.data
     out = ad @ bd
-
-    def b_vjp(g):
-        return ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
-
-    return _record(out, [(a, lambda g: g @ bd.T), (b, b_vjp)])
+    return _record(out, [(a, lambda g: g @ bd.T), (b, lambda g: _outer(ad, g))])
 
 
 def _along(axis, ndim, start, stop):

@@ -304,6 +304,14 @@ class TestScoring:
         assert run("score-bleu", "--hyp", str(f), "--ref", str(f)) == 0
         assert "bleu=1.0000 bp=1.0000" in capsys.readouterr().out
 
+    def test_score_bleu_on_two_empty_files_names_both(self, tmp_path, caplog):
+        h, r = tmp_path / "h.txt", tmp_path / "r.txt"
+        h.write_text("")
+        r.write_text("")
+        assert run("score-bleu", "--hyp", str(h), "--ref", str(r)) == 2
+        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors == [f"empty corpus: {h} and {r} have no lines"]
+
     @pytest.mark.parametrize("command,ref_flag,text", [("score-bleu", "--ref", "a b"),
                                                         ("score-align", "--gold", "0-0")],
                              ids=["score-bleu", "score-align"])
@@ -523,17 +531,16 @@ NON_UTF8_INPUTS = [
 ]
 
 
-@pytest.mark.parametrize("command, bad", NON_UTF8_INPUTS, ids=[f"{c}-{b}" for c, b in NON_UTF8_INPUTS])
-def test_non_utf8_input_is_one_line_error_naming_file_and_line(
-    copy_corpus, tmp_path, caplog, command, bad
-):
+def _command_inputs(copy_corpus, tmp_path):
+    """Vocabularies and a model trained on ``copy_corpus``, a copy of every
+    input each command reads under ``tmp_path/inputs`` (keyed as in
+    ``NON_UTF8_INPUTS``), and each command's arguments over those copies."""
     assert run("prepare", "--src", copy_corpus + ".src", "--tgt", copy_corpus + ".tgt",
                "--out-prefix", str(tmp_path / "v")) == 0
     cfg = tmp_path / "train.cfg"
     write_train_config(cfg, copy_corpus, tmp_path / "m",
                        extra=f"src_vocab={tmp_path}/v.src.vocab\ntgt_vocab={tmp_path}/v.tgt.vocab\n")
     assert run("train", "--config", str(cfg)) == 0
-    # copies of every input in their own directory, one of them with a 0xff byte on line 2
     inputs = tmp_path / "inputs"
     inputs.mkdir()
     names = {"src": "toy.src", "tgt": "toy.tgt", "align": "toy.align", "gold": "toy.align",
@@ -544,9 +551,6 @@ def test_non_utf8_input_is_one_line_error_naming_file_and_line(
     files["config"] = inputs / "train.cfg"
     write_train_config(files["config"], inputs / "toy", tmp_path / "m2",
                        extra=f"src_vocab={files['src_vocab']}\ntgt_vocab={files['tgt_vocab']}\n")
-    lines = files[bad].read_bytes().split(b"\n")
-    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
-    files[bad].write_bytes(b"\n".join(lines))
     f = {key: str(path) for key, path in files.items()}
     out = str(tmp_path / "out")
     decode = ["--checkpoint", str(tmp_path / "m.ckpt"), "--src-vocab", f["src_vocab"],
@@ -559,11 +563,40 @@ def test_non_utf8_input_is_one_line_error_naming_file_and_line(
         "dump-attn": decode + ["--tgt", f["tgt"]],
         "score-align": ["--hyp", f["align"], "--gold", f["gold"]],
         "score-bleu": ["--hyp", f["src"], "--ref", f["tgt"]],
-    }[command]
+    }
+    return files, argv
+
+
+@pytest.mark.parametrize("command, bad", NON_UTF8_INPUTS, ids=[f"{c}-{b}" for c, b in NON_UTF8_INPUTS])
+def test_non_utf8_input_is_one_line_error_naming_file_and_line(
+    copy_corpus, tmp_path, caplog, command, bad
+):
+    files, argv = _command_inputs(copy_corpus, tmp_path)
+    # one input with a 0xff byte on line 2
+    lines = files[bad].read_bytes().split(b"\n")
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][1:]
+    files[bad].write_bytes(b"\n".join(lines))
     caplog.clear()
-    assert run(command, *argv) == 2
+    assert run(command, *argv[command]) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [f"{files[bad]}:2: not UTF-8"]
+    assert not (tmp_path / "m2.ckpt").exists()
+
+
+@pytest.mark.parametrize("command, empty", NON_UTF8_INPUTS, ids=[f"{c}-{b}" for c, b in NON_UTF8_INPUTS])
+def test_empty_input_is_one_line_error_naming_the_file(copy_corpus, tmp_path, caplog, command, empty):
+    files, argv = _command_inputs(copy_corpus, tmp_path)
+    files[empty].write_bytes(b"")
+    caplog.clear()
+    rc = run(command, *argv[command])
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    if (command, empty) == ("translate", "src"):
+        # no sentence to translate is not an error
+        assert (rc, errors) == (0, [])
+        assert (tmp_path / "out").read_bytes() == b""
+        return
+    assert rc == 2
+    assert len(errors) == 1 and str(files[empty]) in errors[0], errors
     assert not (tmp_path / "m2.ckpt").exists()
 
 

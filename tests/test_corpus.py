@@ -9,7 +9,7 @@ from attnalign.corpus import (
     SentencePair,
     Vocab,
     build_vocab,
-    encode_pair,
+    encode_line,
     format_pharaoh,
     load_parallel,
     load_pharaoh_file,
@@ -76,6 +76,12 @@ class TestVocab:
             Vocab.load(path)
 
 
+    def test_load_rejects_a_file_without_a_token(self, tmp_path):
+        path = tmp_path / "v.vocab"
+        path.write_text("\n\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"v\.vocab: empty vocabulary$"):
+            Vocab.load(path)
+
     @pytest.mark.parametrize("token", ["<pad>", "<eos>", "<unk>"])
     def test_add_rejects_a_reserved_token(self, token):
         with pytest.raises(ValueError, match="reserved token"):
@@ -99,25 +105,21 @@ class TestVocab:
 class TestEncodePair:
     def test_eos_appended_both_sides(self):
         sv, tv = Vocab(["a", "b"]), Vocab(["x"])
-        pair = encode_pair("a b", "x", sv, tv)
+        pair = SentencePair(encode_line("s", 1, "a b", sv), encode_line("t", 1, "x", tv))
         assert pair.src_ids == [3, 4, EOS_ID]
         assert pair.tgt_ids == [3, EOS_ID]
         assert pair.src_len == 3 and pair.tgt_len == 2
 
     def test_oov_becomes_unk(self):
-        sv, tv = Vocab(["a"]), Vocab(["x"])
-        pair = encode_pair("a zzz", "x", sv, tv)
-        assert pair.src_ids == [3, UNK_ID, EOS_ID]
+        assert encode_line("s", 1, "a zzz", Vocab(["a"])) == [3, UNK_ID, EOS_ID]
 
     def test_round_trip_in_vocab(self):
-        sv, tv = Vocab(["a", "b"]), Vocab(["x"])
-        pair = encode_pair("b a b", "x", sv, tv)
-        assert " ".join(sv.decode(pair.src_ids[:-1])) == "b a b"
+        sv = Vocab(["a", "b"])
+        assert " ".join(sv.decode(encode_line("s", 1, "b a b", sv)[:-1])) == "b a b"
 
     def test_empty_side_returns_none(self):
-        sv, tv = Vocab(["a"]), Vocab(["x"])
-        assert encode_pair("", "x", sv, tv) is None
-        assert encode_pair("a", "   ", sv, tv) is None
+        assert encode_line("s", 1, "", Vocab(["a"])) is None
+        assert encode_line("t", 1, "   ", Vocab(["x"])) is None
 
 
 @pytest.mark.parametrize("side", ["src", "tgt"])
