@@ -188,11 +188,14 @@ def cmd_train(args):
             vocabs.append(corpus.build_vocab(c[f"train_{side}"], c["max_vocab"]))
     src_vocab, tgt_vocab = vocabs
 
-    pairs, n_lines = corpus.load_parallel(
-        c["train_src"], c["train_tgt"], src_vocab, tgt_vocab, max_len=c["max_len"]
-    )
+    src, tgt = c["train_src"], c["train_tgt"]
+    pairs, n_lines, (empty, long) = corpus.load_parallel(src, tgt, src_vocab, tgt_vocab,
+                                                         max_len=c["max_len"])
+    if not n_lines:
+        raise ValueError(f"no usable training pairs: {src} and {tgt} have no lines")
     if not pairs:
-        raise ValueError("no usable training pairs")
+        raise ValueError(f"no usable training pairs in {src} and {tgt}: of {n_lines} lines, {empty} "
+                         f"have an empty side and {long} are longer than max_len {c['max_len']}")
 
     sup = None
     if c["train_align"] is not None:
@@ -262,7 +265,7 @@ def cmd_translate(args):
 
 def cmd_dump_attn(args):
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
-    pairs, n_lines = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
+    pairs, n_lines, _ = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
     matrices = evaluation.dump_attention_all(params, pairs)
     supervision.write_matrices(matrices, args.out)
     if args.align_out:
@@ -288,8 +291,17 @@ def _read_link_sets(path, lines, flip):
     return sets
 
 
+def _scored_line_pair(hyp, ref):
+    """read_line_pair of a hypothesis and a reference file, which must
+    hold at least one line: no sentence has no score."""
+    lines = corpus.read_line_pair(hyp, ref)
+    if not lines[0]:
+        raise ValueError(f"empty corpus: {hyp} and {ref} have no lines")
+    return lines
+
+
 def cmd_score_align(args):
-    hyp_lines, gold_lines = corpus.read_line_pair(args.hyp, args.gold)
+    hyp_lines, gold_lines = _scored_line_pair(args.hyp, args.gold)
     hyp_sets = _read_link_sets(args.hyp, hyp_lines, args.flip)
     gold_sets = _read_link_sets(args.gold, gold_lines, args.flip)
     report = evaluation.corpus_alignment_f1(hyp_sets, gold_sets)
@@ -298,9 +310,7 @@ def cmd_score_align(args):
 
 
 def cmd_score_bleu(args):
-    hyp_lines, ref_lines = corpus.read_line_pair(args.hyp, args.ref)
-    if not hyp_lines:
-        raise ValueError(f"empty corpus: {args.hyp} and {args.ref} have no lines")
+    hyp_lines, ref_lines = _scored_line_pair(args.hyp, args.ref)
     report = evaluation.bleu([h.split() for h in hyp_lines], [r.split() for r in ref_lines])
     print(report.format_line())
     return 0

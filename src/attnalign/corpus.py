@@ -169,8 +169,9 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
     """Line-aligned corpus -> SentencePairs, both sides through
     ``encode_line``, source first; empty or over-long pairs skipped.
 
-    Returns (pairs, line count); each pair's ``pair_index`` is its 0-based
-    input line, so callers can subset a parallel alignment file.
+    Returns (pairs, line count, (pairs skipped for an empty side, pairs
+    skipped as longer than max_len)); each pair's ``pair_index`` is its
+    0-based input line, so callers can subset a parallel alignment file.
     """
     src_lines, tgt_lines = read_line_pair(src_path, tgt_path)
     pairs = []
@@ -188,7 +189,7 @@ def load_parallel(src_path, tgt_path, src_vocab, tgt_vocab, max_len=50):
         log.warning("skipped %d pairs with an empty side", skipped_empty)
     if skipped_long:
         log.warning("skipped %d pairs longer than %d tokens", skipped_long, max_len)
-    return pairs, len(src_lines)
+    return pairs, len(src_lines), (skipped_empty, skipped_long)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,15 @@ Greedy decoding runs the encoder through the model's untracked forward
 pass once per chunk, then steps on plain arrays with
 ``tensor.attention_step``, the step the teacher-forced decoder runs, so it
 records nothing per step. A sentence leaves its chunk once it emits eos.
+Its chunks are as many similar-length sentences as keep the step's
+(k, L, A) tanh scratch within ``GREEDY_CHUNK_BYTES``; attention dumping
+keeps chunks of ``DECODE_CHUNK`` sentences, whose float32 matrices would
+round differently at other chunk sizes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -28,8 +33,15 @@ from .model import (
 
 EXTRACT_THRESHOLD = 0.2
 
-# Sentences decoded together by greedy_decode_all and dump_attention_all.
+# Pairs run together by dump_attention_all. It stays at 32 sentences: a
+# pair's float32 matrix is not bit-identical at other chunk sizes.
 DECODE_CHUNK = 32
+
+# Bytes of one greedy chunk's (k, L, A) tanh scratch, L its longest source:
+# a chunk grows while k * L * A * itemsize stays within this. Below it a
+# step is mostly numpy call overhead; well above it every sentence pads to
+# a longer source and each eos compacts a larger batch.
+GREEDY_CHUNK_BYTES = 256 << 10
 
 
 @dataclass
@@ -38,10 +50,24 @@ class Hypothesis:
     attention: np.ndarray  # one row per emitted token
 
 
-def _chunks(lengths):
-    """Input indices in chunks of DECODE_CHUNK, similar lengths together."""
-    order = sorted(range(len(lengths)), key=lengths.__getitem__)
-    return [order[k : k + DECODE_CHUNK] for k in range(0, len(order), DECODE_CHUNK)]
+def _chunks(lengths, fits):
+    """Input indices sorted by length, in chunks that grow while
+    ``fits(k, longest)`` holds for the k indices with the longest length
+    among them; a chunk always takes its first index."""
+    chunks = []
+    for i in sorted(range(len(lengths)), key=lengths.__getitem__):
+        if chunks and fits(len(chunks[-1]) + 1, lengths[i]):
+            chunks[-1].append(i)
+        else:
+            chunks.append([i])
+    return chunks
+
+
+def _greedy_chunks(params, lengths):
+    """greedy_decode_all's chunks of source ``lengths``: within
+    GREEDY_CHUNK_BYTES of tanh scratch, or one sentence alone."""
+    row = params.tensors["attn.v"].nbytes  # A * itemsize
+    return _chunks(lengths, lambda k, longest: k * longest * row <= GREEDY_CHUNK_BYTES)
 
 
 def _greedy_batch(params, sources, max_len):
@@ -67,22 +93,30 @@ def _greedy_batch(params, sources, max_len):
     steps = np.full(n, max_len)
     live = np.arange(n)  # the batch rows still decoding
     y = np.broadcast_to(p["bos_emb"], (n, e))
+
+    def step_shapes(k):  # attention_step's buffers for k rows, then a second new state
+        return ((k, att), (k, length), (k, ctx_mat.shape[2]), (2, k, hid), (k, hid), (k, hid),
+                (k, hid), (k, length, att), (k, hid))
+
+    def step_buffers(k):  # the leading block of each arena, so contiguous
+        return [a[: math.prod(shape)].reshape(shape) for a, shape in zip(arenas, step_shapes(k))]
+
+    # allocated once for all n rows; the new state alternates between two
+    # buffers, so a step never writes the state it reads
+    arenas = [np.empty(math.prod(shape), dtype) for shape in step_shapes(n)]
+    *bufs, spare = step_buffers(n)
     for t in range(max_len):
         if t == len(tokens):
             more = min(max(t, 16), max_len - t)
             tokens = np.concatenate([tokens, np.empty((more, n), dtype=np.intp)])
             attention = np.concatenate([attention, np.empty((more, n, length), dtype=dtype)])
-        k = len(live)
-        bufs = [np.empty(shape, dtype) for shape in ((k, att), (k, length), (k, ctx_mat.shape[2]),
-                                                     (2, k, hid), (k, hid), (k, hid), (k, hid),
-                                                     (k, length, att))]
         T.attention_step(s, [y @ w.T + b for w, b in w_y], h_proj, ctx_mat, pad, *weights, bufs)
         alpha, s = bufs[1], bufs[6]
+        bufs[6], spare = spare, s
         x = np.tanh(np.concatenate([s, y], axis=-1) @ p["out.W1"].T + p["out.b1"]) @ p["out.W2"].T
-        # log_softmax as tensor.log_softmax computes it, so argmax ties break alike
-        z = x - x.max(axis=-1, keepdims=True)
-        lp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
-        best = lp.argmax(axis=1)
+        # the logits' argmax: a log-softmax only subtracts each row's
+        # log-sum-exp, which keeps their order (rounding could at most tie two)
+        best = x.argmax(axis=1)
         tokens[t, live] = best
         attention[t, live] = alpha
         ended = best == EOS_ID
@@ -92,18 +126,19 @@ def _greedy_batch(params, sources, max_len):
             live, best, s, h_proj, ctx_mat, pad = (a[keep] for a in (live, best, s, h_proj, ctx_mat, pad))
             if not len(live):
                 break
+            *bufs, spare = step_buffers(len(live))
         y = p["tgt_emb"][best]
     return [Hypothesis(tokens[:m, j].tolist(), attention[:m, j, : len(src)].copy())
             for j, (m, src) in enumerate(zip(steps, sources))]
 
 
 def greedy_decode_all(params, sources, max_len=80):
-    """One Hypothesis per source id list, in input order, decoded in chunks
-    of DECODE_CHUNK sentences on untracked parameters (no tape)."""
+    """One Hypothesis per source id list, in input order, decoded in the
+    chunks of _greedy_chunks on untracked parameters (no tape)."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     hyps = [None] * len(sources)
-    for chunk in _chunks([len(src) for src in sources]):
+    for chunk in _greedy_chunks(params, [len(src) for src in sources]):
         for k, hyp in zip(chunk, _greedy_batch(params, [sources[k] for k in chunk], max_len)):
             hyps[k] = hyp
     return hyps
@@ -119,7 +154,7 @@ def dump_attention_all(params, pairs):
     computed in chunks of DECODE_CHUNK pairs on untracked parameters."""
     tv = bind(params)
     mats = [None] * len(pairs)
-    for chunk in _chunks([p.src_len for p in pairs]):
+    for chunk in _chunks([p.src_len for p in pairs], lambda k, _: k <= DECODE_CHUNK):
         batch = make_batch([pairs[k] for k in chunk])
         *_, attention = teacher_forced(tv, batch, with_log_probs=False)
         for k, pair, mat in zip(chunk, batch.pairs, attention.data):

@@ -281,7 +281,7 @@ def trend(tmp_path_factory):
 
     src_vocab = build_vocab(prefix + ".src", 50)
     tgt_vocab = build_vocab(prefix + ".tgt", 50)
-    pairs, n_lines = load_parallel(prefix + ".src", prefix + ".tgt", src_vocab, tgt_vocab)
+    pairs, n_lines, _ = load_parallel(prefix + ".src", prefix + ".tgt", src_vocab, tgt_vocab)
     alignments = load_pharaoh_file(prefix + ".align", pairs, n_lines)
     sup = [
         smoothed_transform(complete_alignment(a), SmoothingConfig()) for a in alignments

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -207,6 +209,27 @@ class TestTrain:
         assert "epoch" not in caplog.text
         assert not (tmp_path / "train.log").exists()
 
+    @pytest.mark.parametrize("case", ["empty-files", "all-over-max-len"])
+    def test_no_usable_pairs_names_the_corpus_files_and_why(self, copy_corpus, tmp_path, caplog, case):
+        src, tgt = copy_corpus + ".src", copy_corpus + ".tgt"
+        assert run("prepare", "--src", src, "--tgt", tgt, "--out-prefix", str(tmp_path / "v")) == 0
+        extra = f"src_vocab={tmp_path}/v.src.vocab\ntgt_vocab={tmp_path}/v.tgt.vocab\n"
+        if case == "empty-files":
+            for path in (src, tgt):
+                open(path, "w").close()
+            want = f"no usable training pairs: {src} and {tgt} have no lines"
+        else:
+            extra += "max_len=1\n"  # every copy_corpus sentence has 2 to 4 tokens
+            want = (f"no usable training pairs in {src} and {tgt}: of 12 lines, 0 have an empty side "
+                    "and 12 are longer than max_len 1")
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m", extra=extra)
+        caplog.clear()
+        assert run("train", "--config", str(cfg)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [want]
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_missing_config_file_fails(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "nope.cfg")) == 2
 
@@ -311,6 +334,15 @@ class TestScoring:
         assert run("score-bleu", "--hyp", str(h), "--ref", str(r)) == 2
         errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
         assert errors == [f"empty corpus: {h} and {r} have no lines"]
+
+    def test_score_align_on_two_empty_files_names_both(self, tmp_path, caplog, capsys):
+        h, g = tmp_path / "h.align", tmp_path / "g.align"
+        h.write_text("")
+        g.write_text("")
+        assert run("score-align", "--hyp", str(h), "--gold", str(g)) == 2
+        errors = [rec.getMessage() for rec in caplog.records if rec.levelname == "ERROR"]
+        assert errors == [f"empty corpus: {h} and {g} have no lines"]
+        assert "f1=" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("command,ref_flag,text", [("score-bleu", "--ref", "a b"),
                                                         ("score-align", "--gold", "0-0")],
@@ -598,6 +630,24 @@ def test_empty_input_is_one_line_error_naming_the_file(copy_corpus, tmp_path, ca
     assert rc == 2
     assert len(errors) == 1 and str(files[empty]) in errors[0], errors
     assert not (tmp_path / "m2.ckpt").exists()
+
+
+# The benchmark's fixed model, its held-out pool's synth spec and the
+# translations recorded for the pool, one per line in column 2.
+DECODE_FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "decode"
+DECODE_POOL_SYNTH = ["--task", "copy", "--vocab-size", "30", "--min-len", "3", "--max-len", "10",
+                     "--pairs", "1000", "--seed", "112"]
+
+
+def test_translate_of_the_decode_pool_equals_the_recorded_translations(tmp_path):
+    assert run("synth", *DECODE_POOL_SYNTH, "--out-prefix", str(tmp_path / "pool")) == 0
+    out = tmp_path / "pool.hyp"
+    assert run("translate", "--checkpoint", str(DECODE_FIXTURE / "model.ckpt"),
+               "--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
+               "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab"),
+               "--src", str(tmp_path / "pool.src"), "--out", str(out)) == 0
+    recorded = (DECODE_FIXTURE / "expected.tsv").read_text(encoding="utf-8").splitlines()
+    assert out.read_text(encoding="utf-8").splitlines() == [row.split("\t")[1] for row in recorded]
 
 
 def test_prepare_rejects_a_reserved_token(copy_corpus, tmp_path, caplog):

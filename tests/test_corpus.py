@@ -139,7 +139,7 @@ def test_load_parallel_maps_a_literal_unk_to_unk(tmp_path):
     (tmp_path / "s").write_text("a <unk> b\n", encoding="utf-8")
     (tmp_path / "t").write_text("<unk>\n", encoding="utf-8")
     v = Vocab(["a", "b"])
-    pairs, _ = load_parallel(tmp_path / "s", tmp_path / "t", v, v)
+    pairs, *_ = load_parallel(tmp_path / "s", tmp_path / "t", v, v)
     assert pairs[0].src_ids == [3, UNK_ID, 4, EOS_ID] and pairs[0].tgt_ids == [UNK_ID, EOS_ID]
 
 
@@ -149,9 +149,10 @@ def test_load_parallel_skips_and_counts(tmp_path, caplog):
     src.write_text("a b\n\na b c d\na\n", encoding="utf-8")
     tgt.write_text("x\nx\nx\nx\n", encoding="utf-8")
     sv, tv = Vocab(["a", "b", "c", "d"]), Vocab(["x"])
-    pairs, n_lines = load_parallel(src, tgt, sv, tv, max_len=3)
+    pairs, n_lines, skipped = load_parallel(src, tgt, sv, tv, max_len=3)
     assert len(pairs) == 2
     assert n_lines == 4
+    assert skipped == (1, 1)
     assert [p.pair_index for p in pairs] == [0, 3]
     assert all(p.src_ids[-1] == EOS_ID and p.tgt_ids[-1] == EOS_ID for p in pairs)
 
@@ -162,7 +163,7 @@ def test_alignment_follows_its_line_after_a_skipped_pair(tmp_path):
     tgt.write_text("x y\nx\ny x\n", encoding="utf-8")
     align.write_text("0-0 1-1\n\n0-1 1-0\n", encoding="utf-8")
     sv, tv = Vocab(["a", "b"]), Vocab(["x", "y"])
-    pairs, n_lines = load_parallel(src, tgt, sv, tv)
+    pairs, n_lines, _ = load_parallel(src, tgt, sv, tv)
     assert n_lines == 3
     assert [p.pair_index for p in pairs] == [0, 2]
     alignments = load_pharaoh_file(align, pairs, n_lines)
@@ -176,7 +177,7 @@ def test_lines_split_at_newline_only(tmp_path):
     tgt.write_text("x y\ny\n", encoding="utf-8")
     align.write_text("0-0\u20281-1\n0-0\n", encoding="utf-8")
     sv, tv = Vocab(["a", "b"]), Vocab(["x", "y"])
-    pairs, n_lines = load_parallel(src, tgt, sv, tv)
+    pairs, n_lines, _ = load_parallel(src, tgt, sv, tv)
     assert n_lines == 2
     assert [p.src_ids for p in pairs] == [[3, 4, EOS_ID], [4, EOS_ID]]
     alignments = load_pharaoh_file(align, pairs, n_lines)

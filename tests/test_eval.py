@@ -246,14 +246,17 @@ class TestDumpAttention:
 
 
 def test_batched_decoding_equals_one_sentence_runs(monkeypatch):
-    # chunks of 2, so chunking and the return to input order are exercised
+    # chunks of about 2, so chunking and the return to input order are exercised
     from attnalign import evaluation
 
-    monkeypatch.setattr(evaluation, "DECODE_CHUNK", 2)
+    # the tanh scratch of two length-4 sources at attn 4 in float64
+    monkeypatch.setattr(evaluation, "GREEDY_CHUNK_BYTES", 2 * 4 * 4 * 8)
     p = init_params(ModelDims(src_vocab=7, tgt_vocab=4, embed=4, hidden=4, attn=4, out=4),
                     seed=0, init_scale=0.8)
     rng = np.random.default_rng(0)
     sources = [[int(t) for t in rng.integers(3, 7, size=n)] + [EOS_ID] for n in (5, 1, 3, 6, 2, 4, 1)]
+    chunks = evaluation._greedy_chunks(p, [len(src) for src in sources])
+    assert 2 < len(chunks) < len(sources)
     hyps = evaluation.greedy_decode_all(p, sources, max_len=6)
     assert len(hyps) == len(sources)
     for src, hyp in zip(sources, hyps):
@@ -284,10 +287,13 @@ def mix_sources():
 def test_greedy_decoding_equals_composed_oracle(monkeypatch, chunk, dtype, rel):
     from attnalign import evaluation
 
-    if chunk is not None:
-        monkeypatch.setattr(evaluation, "DECODE_CHUNK", chunk)
     p = init_params(MIX_DIMS, seed=0, dtype=dtype, init_scale=0.8)
     sources = mix_sources()
+    if chunk is not None:
+        # the tanh scratch of ``chunk`` length-4 sources
+        budget = chunk * 4 * MIX_DIMS.attn * np.dtype(dtype).itemsize
+        monkeypatch.setattr(evaluation, "GREEDY_CHUNK_BYTES", budget)
+        assert 2 < len(evaluation._greedy_chunks(p, [len(src) for src in sources])) < len(sources)
     hyps = evaluation.greedy_decode_all(p, sources, max_len=6)
     want = composed_greedy_decode_all(p, sources, max_len=6)
     for src, hyp, ref in zip(sources, hyps, want):
@@ -296,6 +302,29 @@ def test_greedy_decoding_equals_composed_oracle(monkeypatch, chunk, dtype, rel):
         assert np.abs(hyp.attention - ref.attention).max() <= rel * np.abs(ref.attention).max()
     ends = [h.token_ids[-1] == EOS_ID for h in hyps]
     assert any(ends) and not all(ends)  # some stop at eos, some at max_len
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_greedy_chunks_are_length_sorted_and_within_the_byte_budget(monkeypatch, dtype):
+    from attnalign import evaluation
+
+    p = init_params(MIX_DIMS, seed=0, dtype=dtype)
+    row = MIX_DIMS.attn * np.dtype(dtype).itemsize  # tanh scratch bytes per source position
+    budget = 12 * row
+    monkeypatch.setattr(evaluation, "GREEDY_CHUNK_BYTES", budget)
+    rng = np.random.default_rng(0)
+    lengths = [int(n) for n in rng.integers(1, 7, size=40)]
+    lengths[17], lengths[30] = 13, 14  # each over the budget on its own
+    chunks = evaluation._greedy_chunks(p, lengths)
+    assert sorted(i for chunk in chunks for i in chunk) == list(range(len(lengths)))
+    in_order = [lengths[i] for chunk in chunks for i in chunk]
+    assert in_order == sorted(in_order)
+    for chunk in chunks:
+        assert len(chunk) == 1 or len(chunk) * max(lengths[i] for i in chunk) * row <= budget
+    for chunk, after in zip(chunks, chunks[1:]):  # each chunk took all that fit
+        assert (len(chunk) + 1) * lengths[after[0]] * row > budget
+    assert [17] in chunks and [30] in chunks
+    assert max(map(len, chunks)) > 1
 
 
 def test_max_len_far_beyond_eos_decodes_as_a_short_one():
