@@ -6,10 +6,9 @@ Greedy decoding runs the encoder through the model's untracked forward
 pass once per chunk, then steps on plain arrays with
 ``tensor.attention_step``, the step the teacher-forced decoder runs, so it
 records nothing per step. A sentence leaves its chunk once it emits eos.
-Its chunks are as many similar-length sentences as keep the step's
-(k, L, A) tanh scratch within ``GREEDY_CHUNK_BYTES``; attention dumping
-keeps chunks of ``DECODE_CHUNK`` sentences, whose float32 matrices would
-round differently at other chunk sizes.
+Greedy decoding and attention dumping use one chunk rule: as many
+similar-length sentences as keep a decoder step's (k, L, A) attention tanh
+scratch within ``DECODE_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -33,15 +32,12 @@ from .model import (
 
 EXTRACT_THRESHOLD = 0.2
 
-# Pairs run together by dump_attention_all. It stays at 32 sentences: a
-# pair's float32 matrix is not bit-identical at other chunk sizes.
-DECODE_CHUNK = 32
-
-# Bytes of one greedy chunk's (k, L, A) tanh scratch, L its longest source:
-# a chunk grows while k * L * A * itemsize stays within this. Below it a
-# step is mostly numpy call overhead; well above it every sentence pads to
-# a longer source and each eos compacts a larger batch.
-GREEDY_CHUNK_BYTES = 256 << 10
+# Bytes of one decoding chunk's (k, L, A) tanh scratch, L its longest source;
+# a dump takes a pair's longer side, as it keeps arrays for every target step.
+# A chunk grows while k * L * A * itemsize fits. Below this a step is mostly
+# numpy call overhead; well above it every sentence pads to a longer source
+# and each eos compacts a larger batch.
+DECODE_CHUNK_BYTES = 256 << 10
 
 
 @dataclass
@@ -50,24 +46,18 @@ class Hypothesis:
     attention: np.ndarray  # one row per emitted token
 
 
-def _chunks(lengths, fits):
-    """Input indices sorted by length, in chunks that grow while
-    ``fits(k, longest)`` holds for the k indices with the longest length
-    among them; a chunk always takes its first index."""
+def _chunks(params, lengths):
+    """Indices of ``lengths`` sorted by length, in chunks that grow while k
+    sentences padded to the longest keep DECODE_CHUNK_BYTES of tanh scratch;
+    a sentence over that is a chunk of its own."""
+    row = params.tensors["attn.v"].nbytes  # A * itemsize
     chunks = []
     for i in sorted(range(len(lengths)), key=lengths.__getitem__):
-        if chunks and fits(len(chunks[-1]) + 1, lengths[i]):
+        if chunks and (len(chunks[-1]) + 1) * lengths[i] * row <= DECODE_CHUNK_BYTES:
             chunks[-1].append(i)
         else:
             chunks.append([i])
     return chunks
-
-
-def _greedy_chunks(params, lengths):
-    """greedy_decode_all's chunks of source ``lengths``: within
-    GREEDY_CHUNK_BYTES of tanh scratch, or one sentence alone."""
-    row = params.tensors["attn.v"].nbytes  # A * itemsize
-    return _chunks(lengths, lambda k, longest: k * longest * row <= GREEDY_CHUNK_BYTES)
 
 
 def _greedy_batch(params, sources, max_len):
@@ -134,11 +124,11 @@ def _greedy_batch(params, sources, max_len):
 
 def greedy_decode_all(params, sources, max_len=80):
     """One Hypothesis per source id list, in input order, decoded in the
-    chunks of _greedy_chunks on untracked parameters (no tape)."""
+    chunks of _chunks on untracked parameters (no tape)."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
     hyps = [None] * len(sources)
-    for chunk in _greedy_chunks(params, [len(src) for src in sources]):
+    for chunk in _chunks(params, [len(src) for src in sources]):
         for k, hyp in zip(chunk, _greedy_batch(params, [sources[k] for k in chunk], max_len)):
             hyps[k] = hyp
     return hyps
@@ -151,10 +141,10 @@ def greedy_decode(params, src_ids, max_len=80):
 
 def dump_attention_all(params, pairs):
     """Teacher-forced (m, l) attention matrix of every pair, in input order,
-    computed in chunks of DECODE_CHUNK pairs on untracked parameters."""
+    computed in the chunks of _chunks on untracked parameters."""
     tv = bind(params)
     mats = [None] * len(pairs)
-    for chunk in _chunks([p.src_len for p in pairs], lambda k, _: k <= DECODE_CHUNK):
+    for chunk in _chunks(params, [max(p.src_len, p.tgt_len) for p in pairs]):
         batch = make_batch([pairs[k] for k in chunk])
         *_, attention = teacher_forced(tv, batch, with_log_probs=False)
         for k, pair, mat in zip(chunk, batch.pairs, attention.data):

@@ -144,8 +144,9 @@ def bind(params, tape=None, trainable=None):
 # encoder carries its states across padding, attention gives padded source
 # positions exactly 0, and the losses read only real rows. Their last bits
 # still follow the batch's shape, as BLAS may sum a product in another order
-# at another size: between chunks of 1 and of 32 or 150, greedy tokens are
-# equal and attention agrees within 2.2e-6 in float32, 2.9e-15 in float64.
+# at another size: on the bench's 1000-line decode pool, chunks give the greedy
+# tokens of one-sentence runs, and greedy and teacher-forced attention each
+# stay within 5.2e-6 (float32), 3.6e-15 (float64) of their one-sentence runs.
 
 GATES = ("z", "r", "c")
 

@@ -541,9 +541,10 @@ def pick_nll(h, w, ids, lengths):
     A few rows at a time, the max-shifted logits' exps go into a small
     scratch for the log-sum-exp. When ``h`` or ``w`` is tracked, those rows
     then become softmax in place while they are in cache, the chunk loses
-    one at each row's picked id, and it goes into the (N, D) and (V, D)
-    gradients, which the VJP only scales by its adjoint. No (N, V) array
-    is ever held and padded rows cost nothing.
+    one at each row's picked id, and it goes into the (N, D) gradient if
+    ``h`` is tracked and the (V, D) one if ``w`` is, which the VJP only
+    scales by its adjoint. No (N, V) array is ever held and padded rows
+    cost nothing.
     """
     hd, wd = h.data, w.data
     ids = np.asarray(ids, dtype=np.intp)
@@ -559,15 +560,18 @@ def pick_nll(h, w, ids, lengths):
     n_rows = len(rows)
     dtype = np.result_type(hd, wd)
     step = max(1, PICK_CHUNK_BYTES // (wd.shape[0] * dtype.itemsize))
-    track = h.tape is not None or w.tape is not None
+    track_h, track_w = h.tape is not None, w.tape is not None
+    track = track_h or track_w
     few = max(1, PICK_SCRATCH_BYTES // (wd.shape[0] * dtype.itemsize)) if track else step
     lse = np.empty(n_rows, dtype=hd.dtype)
     picked = np.empty(n_rows, dtype=hd.dtype)
     buf = np.empty((min(step, n_rows), wd.shape[0]), dtype=dtype)
     # untracked, the logits are not needed again and the exps overwrite them
     scratch = np.empty((min(few, n_rows), wd.shape[0]), dtype=dtype) if track else buf
-    if track:
-        gh_rows, gw, part = np.empty_like(rows), np.zeros_like(wd), np.empty_like(wd)
+    if track_h:
+        gh_rows = np.empty_like(rows)
+    if track_w:
+        gw, part = np.zeros_like(wd), np.empty_like(wd)
     for a in range(0, n_rows, step):
         b = min(a + step, n_rows)
         z = np.matmul(rows[a:b], wd.T, out=buf[: b - a])
@@ -584,15 +588,19 @@ def pick_nll(h, w, ids, lengths):
                 np.exp(zr, out=zr)
         if track:
             z[at] -= 1.0
-            np.matmul(z, wd, out=gh_rows[a:b])
-            gw += np.matmul(z.T, rows[a:b], out=part)
+            if track_h:
+                np.matmul(z, wd, out=gh_rows[a:b])
+            if track_w:
+                gw += np.matmul(z.T, rows[a:b], out=part)
     out = np.zeros(ids.shape, dtype=hd.dtype)
     out[real] = picked - lse
 
-    def compute(g):
-        gh = np.zeros_like(hd)
-        gh[real] = gh_rows * g
-        return gh, np.multiply(gw, g, out=gw)
+    def compute(g):  # _shared_vjps reads only the tracked operands' adjoints
+        gh = None
+        if track_h:
+            gh = np.zeros_like(hd)
+            gh[real] = gh_rows * g
+        return gh, np.multiply(gw, g, out=gw) if track_w else None
 
     return _record(np.asarray(-out.sum()), _shared_vjps(compute, h, w)), out
 

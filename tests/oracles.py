@@ -57,7 +57,7 @@ def composed_greedy_decode_all(params, sources, max_len):
     """``evaluation.greedy_decode_all``'s chunks, each decoded by
     ``composed_greedy_batch``."""
     hyps = [None] * len(sources)
-    for chunk in evaluation._greedy_chunks(params, [len(src) for src in sources]):
+    for chunk in evaluation._chunks(params, [len(src) for src in sources]):
         for k, hyp in zip(chunk, composed_greedy_batch(params, [sources[k] for k in chunk], max_len)):
             hyps[k] = hyp
     return hyps

@@ -632,6 +632,60 @@ def test_empty_input_is_one_line_error_naming_the_file(copy_corpus, tmp_path, ca
     assert not (tmp_path / "m2.ckpt").exists()
 
 
+# Each row's exit status and error line once its input keeps two whole lines
+# and part of the third (12 lines in every whole input), with the inputs'
+# paths as {key} and the cut config line's value as {value}. What is left of
+# an input to prepare, a source to translate and a vocabulary to train is
+# valid, smaller input.
+TRUNCATED_INPUT_OUTCOMES = {
+    ("prepare", "src"): (0, None),
+    ("prepare", "tgt"): (0, None),
+    ("transform-align", "align"): (2, "line count mismatch: {src} has 12, {tgt} has 12, {align} has 3"),
+    ("transform-align", "src"): (2, "line count mismatch: {src} has 3, {tgt} has 12, {align} has 12"),
+    ("transform-align", "tgt"): (2, "line count mismatch: {src} has 12, {tgt} has 3, {align} has 12"),
+    ("train", "config"): (2, "[Errno 2] No such file or directory: '{value}'"),
+    ("train", "src_vocab"): (0, None),
+    ("train", "tgt_vocab"): (0, None),
+    ("train", "src"): (2, "line count mismatch: {src} has 3, {tgt} has 12"),
+    ("train", "tgt"): (2, "line count mismatch: {src} has 12, {tgt} has 3"),
+    ("train", "align"): (2, "line count mismatch: {align} has 3, the corpus has 12"),
+    ("translate", "src_vocab"): (2, "{src_vocab}: vocabulary has 6 entries, checkpoint expects 11"),
+    ("translate", "tgt_vocab"): (2, "{tgt_vocab}: vocabulary has 6 entries, checkpoint expects 11"),
+    ("translate", "src"): (0, None),
+    ("dump-attn", "src_vocab"): (2, "{src_vocab}: vocabulary has 6 entries, checkpoint expects 11"),
+    ("dump-attn", "tgt_vocab"): (2, "{tgt_vocab}: vocabulary has 6 entries, checkpoint expects 11"),
+    ("dump-attn", "src"): (2, "line count mismatch: {src} has 3, {tgt} has 12"),
+    ("dump-attn", "tgt"): (2, "line count mismatch: {src} has 12, {tgt} has 3"),
+    ("score-align", "align"): (2, "line count mismatch: {align} has 3, {gold} has 12"),
+    ("score-align", "gold"): (2, "line count mismatch: {align} has 12, {gold} has 3"),
+    ("score-bleu", "src"): (2, "line count mismatch: {src} has 3, {tgt} has 12"),
+    ("score-bleu", "tgt"): (2, "line count mismatch: {src} has 12, {tgt} has 3"),
+}
+
+
+@pytest.mark.parametrize("in_token", [False, True], ids=["mid-line", "mid-token"])
+@pytest.mark.parametrize("command, cut", NON_UTF8_INPUTS, ids=[f"{c}-{b}" for c, b in NON_UTF8_INPUTS])
+def test_truncated_input_is_valid_or_one_line_error_naming_it(
+    copy_corpus, tmp_path, caplog, command, cut, in_token
+):
+    files, argv = _command_inputs(copy_corpus, tmp_path)
+    # the third line is cut just after its first space, or inside its last
+    # token; a line of one token (a vocabulary entry, a config line) has no
+    # space, so both cuts fall inside it
+    data = files[cut].read_bytes()
+    start = data.index(b"\n", data.index(b"\n") + 1) + 1
+    line = data[start : data.index(b"\n", start)]
+    keep = line.index(b" ") + 1 if b" " in line and not in_token else len(line) - 1
+    files[cut].write_bytes(data[: start + keep])
+    caplog.clear()
+    rc = run(command, *argv[command])
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    want_rc, want = TRUNCATED_INPUT_OUTCOMES[command, cut]
+    value = line[:keep].decode().partition("=")[2]
+    assert (rc, errors) == (want_rc, [want.format(**files, value=value)] if want else [])
+    assert "Traceback" not in caplog.text
+
+
 # The benchmark's fixed model, its held-out pool's synth spec and the
 # translations recorded for the pool, one per line in column 2.
 DECODE_FIXTURE = Path(__file__).resolve().parents[1] / "bench" / "fixtures" / "decode"
@@ -648,6 +702,18 @@ def test_translate_of_the_decode_pool_equals_the_recorded_translations(tmp_path)
                "--src", str(tmp_path / "pool.src"), "--out", str(out)) == 0
     recorded = (DECODE_FIXTURE / "expected.tsv").read_text(encoding="utf-8").splitlines()
     assert out.read_text(encoding="utf-8").splitlines() == [row.split("\t")[1] for row in recorded]
+
+
+def test_dump_attn_of_the_decode_pool_equals_the_recorded_links(tmp_path):
+    assert run("synth", *DECODE_POOL_SYNTH, "--out-prefix", str(tmp_path / "pool")) == 0
+    links = tmp_path / "pool.links"
+    assert run("dump-attn", "--checkpoint", str(DECODE_FIXTURE / "model.ckpt"),
+               "--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
+               "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab"),
+               "--src", str(tmp_path / "pool.src"), "--tgt", str(tmp_path / "pool.tgt"),
+               "--out", str(tmp_path / "pool.attn"), "--align-out", str(links)) == 0
+    recorded = (DECODE_FIXTURE / "expected.tsv").read_text(encoding="utf-8").splitlines()
+    assert links.read_text(encoding="utf-8").splitlines() == [row.split("\t")[2] for row in recorded]
 
 
 def test_prepare_rejects_a_reserved_token(copy_corpus, tmp_path, caplog):

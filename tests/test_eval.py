@@ -250,12 +250,12 @@ def test_batched_decoding_equals_one_sentence_runs(monkeypatch):
     from attnalign import evaluation
 
     # the tanh scratch of two length-4 sources at attn 4 in float64
-    monkeypatch.setattr(evaluation, "GREEDY_CHUNK_BYTES", 2 * 4 * 4 * 8)
+    monkeypatch.setattr(evaluation, "DECODE_CHUNK_BYTES", 2 * 4 * 4 * 8)
     p = init_params(ModelDims(src_vocab=7, tgt_vocab=4, embed=4, hidden=4, attn=4, out=4),
                     seed=0, init_scale=0.8)
     rng = np.random.default_rng(0)
     sources = [[int(t) for t in rng.integers(3, 7, size=n)] + [EOS_ID] for n in (5, 1, 3, 6, 2, 4, 1)]
-    chunks = evaluation._greedy_chunks(p, [len(src) for src in sources])
+    chunks = evaluation._chunks(p, [len(src) for src in sources])
     assert 2 < len(chunks) < len(sources)
     hyps = evaluation.greedy_decode_all(p, sources, max_len=6)
     assert len(hyps) == len(sources)
@@ -292,8 +292,8 @@ def test_greedy_decoding_equals_composed_oracle(monkeypatch, chunk, dtype, rel):
     if chunk is not None:
         # the tanh scratch of ``chunk`` length-4 sources
         budget = chunk * 4 * MIX_DIMS.attn * np.dtype(dtype).itemsize
-        monkeypatch.setattr(evaluation, "GREEDY_CHUNK_BYTES", budget)
-        assert 2 < len(evaluation._greedy_chunks(p, [len(src) for src in sources])) < len(sources)
+        monkeypatch.setattr(evaluation, "DECODE_CHUNK_BYTES", budget)
+        assert 2 < len(evaluation._chunks(p, [len(src) for src in sources])) < len(sources)
     hyps = evaluation.greedy_decode_all(p, sources, max_len=6)
     want = composed_greedy_decode_all(p, sources, max_len=6)
     for src, hyp, ref in zip(sources, hyps, want):
@@ -311,11 +311,11 @@ def test_greedy_chunks_are_length_sorted_and_within_the_byte_budget(monkeypatch,
     p = init_params(MIX_DIMS, seed=0, dtype=dtype)
     row = MIX_DIMS.attn * np.dtype(dtype).itemsize  # tanh scratch bytes per source position
     budget = 12 * row
-    monkeypatch.setattr(evaluation, "GREEDY_CHUNK_BYTES", budget)
+    monkeypatch.setattr(evaluation, "DECODE_CHUNK_BYTES", budget)
     rng = np.random.default_rng(0)
     lengths = [int(n) for n in rng.integers(1, 7, size=40)]
     lengths[17], lengths[30] = 13, 14  # each over the budget on its own
-    chunks = evaluation._greedy_chunks(p, lengths)
+    chunks = evaluation._chunks(p, lengths)
     assert sorted(i for chunk in chunks for i in chunk) == list(range(len(lengths)))
     in_order = [lengths[i] for chunk in chunks for i in chunk]
     assert in_order == sorted(in_order)
@@ -325,6 +325,46 @@ def test_greedy_chunks_are_length_sorted_and_within_the_byte_budget(monkeypatch,
         assert (len(chunk) + 1) * lengths[after[0]] * row > budget
     assert [17] in chunks and [30] in chunks
     assert max(map(len, chunks)) > 1
+
+
+@pytest.mark.parametrize("dtype,rel", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_batched_dump_equals_one_pair_runs(monkeypatch, dtype, rel):
+    # chunks of about 2, so chunking and the return to input order are exercised
+    from attnalign import evaluation
+
+    # the tanh scratch of two length-4 sources
+    monkeypatch.setattr(evaluation, "DECODE_CHUNK_BYTES", 2 * 4 * MIX_DIMS.attn * np.dtype(dtype).itemsize)
+    p = init_params(MIX_DIMS, seed=0, dtype=dtype, init_scale=0.8)
+    rng = np.random.default_rng(1)
+    pairs = [SentencePair(src, [3] * int(rng.integers(0, 6)) + [EOS_ID]) for src in mix_sources()]
+    assert 2 < len(evaluation._chunks(p, [pair.src_len for pair in pairs])) < len(pairs)
+    mats = evaluation.dump_attention_all(p, pairs)
+    assert len(mats) == len(pairs)
+    for pair, mat in zip(pairs, mats):
+        one = dump_attention(p, pair)
+        assert mat.dtype == dtype and mat.shape == one.shape == (pair.tgt_len, pair.src_len)
+        assert np.abs(mat - one).max() <= rel * np.abs(one).max()
+
+
+def test_dump_chunks_of_short_sources_with_long_targets_are_within_the_byte_budget(monkeypatch):
+    # a dump chunk keeps per-step arrays for every target step, so a pair's
+    # longer side sets its length; by source length alone all six pairs
+    # would fit one chunk
+    from attnalign import evaluation
+
+    row = MIX_DIMS.attn * 8  # tanh scratch bytes per position in float64
+    budget = 12 * row
+    monkeypatch.setattr(evaluation, "DECODE_CHUNK_BYTES", budget)
+    p = init_params(MIX_DIMS, seed=0)
+    pairs = [SentencePair([3, EOS_ID], [3] * n + [EOS_ID]) for n in (11, 2, 5, 11, 1, 3)]
+    assert len(evaluation._chunks(p, [pair.src_len for pair in pairs])) == 1
+    seen = []
+    monkeypatch.setattr(evaluation, "make_batch", lambda ps: seen.append(ps) or make_batch(ps))
+    mats = evaluation.dump_attention_all(p, pairs)
+    assert [mat.shape for mat in mats] == [(pair.tgt_len, pair.src_len) for pair in pairs]
+    assert sorted(map(len, seen)) == [1, 1, 1, 3]
+    for chunk in seen:
+        assert len(chunk) * max(max(q.src_len, q.tgt_len) for q in chunk) * row <= budget
 
 
 def test_max_len_far_beyond_eos_decodes_as_a_short_one():
