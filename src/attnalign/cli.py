@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 import numpy as np
@@ -206,6 +207,10 @@ def cmd_train(args):
         sup = [supervision.supervision_matrix(a, smooth) for a in alignments]
     elif any(training.needs_supervision(p.objective, c["lambda"]) for p in c["schedule"]):
         raise ValueError(f"{args.config}: schedule needs alignment supervision but train_align is not set")
+    ckpt_dir = os.path.dirname(c["checkpoint"] or "")
+    if ckpt_dir and not os.path.isdir(ckpt_dir):
+        raise ValueError(f"{args.config}:{cfg.lines['checkpoint']}: "
+                         f"checkpoint directory {ckpt_dir!r} does not exist")
 
     dims = ModelDims(
         src_vocab=len(src_vocab),
@@ -264,6 +269,8 @@ def cmd_translate(args):
 
 
 def cmd_dump_attn(args):
+    if not np.isfinite(args.threshold):
+        raise ValueError(f"threshold must be finite, got {args.threshold}")
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
     pairs, n_lines, _ = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
     matrices = evaluation.dump_attention_all(params, pairs)
@@ -405,7 +412,10 @@ def main(argv=None):
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        log.error("%s", exc)
+        if isinstance(exc, OSError) and exc.filename is not None:
+            log.error("%s: %s", exc.filename, exc.strerror)
+        else:
+            log.error("%s", exc)
         return 2
 
 

@@ -13,7 +13,6 @@ scratch within ``DECODE_CHUNK_BYTES``.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -83,26 +82,17 @@ def _greedy_batch(params, sources, max_len):
     steps = np.full(n, max_len)
     live = np.arange(n)  # the batch rows still decoding
     y = np.broadcast_to(p["bos_emb"], (n, e))
-
-    def step_shapes(k):  # attention_step's buffers for k rows, then a second new state
-        return ((k, att), (k, length), (k, ctx_mat.shape[2]), (2, k, hid), (k, hid), (k, hid),
-                (k, hid), (k, length, att), (k, hid))
-
-    def step_buffers(k):  # the leading block of each arena, so contiguous
-        return [a[: math.prod(shape)].reshape(shape) for a, shape in zip(arenas, step_shapes(k))]
-
-    # allocated once for all n rows; the new state alternates between two
-    # buffers, so a step never writes the state it reads
-    arenas = [np.empty(math.prod(shape), dtype) for shape in step_shapes(n)]
-    *bufs, spare = step_buffers(n)
     for t in range(max_len):
         if t == len(tokens):
             more = min(max(t, 16), max_len - t)
             tokens = np.concatenate([tokens, np.empty((more, n), dtype=np.intp)])
             attention = np.concatenate([attention, np.empty((more, n, length), dtype=dtype)])
+        k = len(live)
+        bufs = [np.empty(shape, dtype) for shape in ((k, att), (k, length), (k, ctx_mat.shape[2]),
+                                                     (2, k, hid), (k, hid), (k, hid), (k, hid),
+                                                     (k, length, att))]
         T.attention_step(s, [y @ w.T + b for w, b in w_y], h_proj, ctx_mat, pad, *weights, bufs)
         alpha, s = bufs[1], bufs[6]
-        bufs[6], spare = spare, s
         x = np.tanh(np.concatenate([s, y], axis=-1) @ p["out.W1"].T + p["out.b1"]) @ p["out.W2"].T
         # the logits' argmax: a log-softmax only subtracts each row's
         # log-sum-exp, which keeps their order (rounding could at most tie two)
@@ -116,7 +106,6 @@ def _greedy_batch(params, sources, max_len):
             live, best, s, h_proj, ctx_mat, pad = (a[keep] for a in (live, best, s, h_proj, ctx_mat, pad))
             if not len(live):
                 break
-            *bufs, spare = step_buffers(len(live))
         y = p["tgt_emb"][best]
     return [Hypothesis(tokens[:m, j].tolist(), attention[:m, j, : len(src)].copy())
             for j, (m, src) in enumerate(zip(steps, sources))]

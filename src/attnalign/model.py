@@ -98,7 +98,10 @@ class ModelParams:
 
 
 def init_params(dims, seed=0, dtype=np.float64, init_scale=INIT_SCALE):
-    """Uniform [-init_scale, init_scale] weights, zero biases; deterministic.
+    """Uniform [-init_scale, init_scale] weights and zeros for every tensor
+    whose last name part starts with ``b``: the biases and also ``bos_emb``,
+    so the first decoder input is the zero vector until training moves it.
+    Deterministic.
 
     The 0.08 default suits large hidden sizes; at desk-scale dims a larger
     scale (0.3-0.5) keeps gradient magnitudes above AdaDelta's epsilon floor.

@@ -53,8 +53,8 @@ class SmoothingConfig:
     def __post_init__(self):
         if self.window < 0:
             raise ValueError(f"window must be non-negative, got {self.window}")
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be positive, got {self.sigma}")
+        if not 0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma}")
 
     def kernel(self, delta):
         return math.exp(-(delta * delta) / (2.0 * self.sigma * self.sigma))

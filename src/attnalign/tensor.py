@@ -8,10 +8,10 @@ its operand's shape), and products and reductions act on the last axes, so
 one node serves every sentence of a batch. Only the primitives needed by the
 encoder-decoder model are provided:
 
-- elementwise: add, sub, neg, mul, scale, tanh, sigmoid, square, sqrt;
+- elementwise: add, sub, mul, scale, tanh, sigmoid, square, sqrt;
 - products: matvec (W applied along the last axis), vecmat (batched
   weighted sum of rows), matmul;
-- assembly and indexing: concat and stack along an axis, take (numpy basic
+- assembly and indexing: concat along an axis, take (numpy basic
   indexing), embed (gather rows of a table by an id array, scattered back
   once in the VJP);
 - reductions: sumall (over all or the given axes), softmax (last axis,
@@ -175,10 +175,6 @@ def sub(a, b):
     return _record(out, [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb))])
 
 
-def neg(a):
-    return _record(-a.data, [(a, lambda g: -g)])
-
-
 def mul(a, b):
     b = _as_tensor(b, a)
     out = _broadcast("mul", np.multiply, a, b)
@@ -239,14 +235,6 @@ def concat(parts, axis=-1):
         parents.append((p, lambda g, idx=idx: g[idx]))
         off += n
     return _record(out, parents)
-
-
-def stack(parts, axis=0):
-    """Stack tensors of one shape along a new axis."""
-    parts = list(parts)
-    out = np.stack([p.data for p in parts], axis=axis)
-    lead = (slice(None),) * (axis % out.ndim)
-    return _record(out, [(p, lambda g, k=k: g[lead + (k,)]) for k, p in enumerate(parts)])
 
 
 def take(x, key):

@@ -1,6 +1,7 @@
 """Reference implementations that tests compare the fast paths against:
 greedy decoding composed from tape primitives step by step, and alignment
-extraction one row at a time."""
+extraction one row at a time; and the tape primitives neg and stack, which
+only hand-built test losses and per-step oracles use."""
 
 import numpy as np
 
@@ -16,6 +17,18 @@ from attnalign.model import (
     output_states,
     target_projections,
 )
+
+
+def neg(a):
+    return T._record(-a.data, [(a, lambda g: -g)])
+
+
+def stack(parts, axis=0):
+    """Stack tensors of one shape along a new axis."""
+    parts = list(parts)
+    out = np.stack([p.data for p in parts], axis=axis)
+    lead = (slice(None),) * (axis % out.ndim)
+    return T._record(out, [(p, lambda g, k=k: g[lead + (k,)]) for k, p in enumerate(parts)])
 
 
 def output_log_probs(o, tv):

@@ -57,7 +57,7 @@ from attnalign.training import (
 
 from criteria import record_criterion
 from gradcheck import finite_diff_check
-from oracles import output_log_probs
+from oracles import neg, output_log_probs, stack
 
 
 def check(number, description, condition):
@@ -133,10 +133,10 @@ def _joint_objective(leaves, dims, pair, sup, lam):
         outputs.append(M.output_states(s, y_prev, leaves))
         alphas.append(T.take(alpha, 0))
         y_prev = T.take(leaves["tgt_emb"], np.s_[y_t : y_t + 1])
-    lp = output_log_probs(T.stack(outputs), leaves)
+    lp = output_log_probs(stack(outputs), leaves)
     onehot = np.eye(dims.tgt_vocab)[pair.tgt_ids][:, None, :]
-    nll = T.neg(T.sumall(T.mul(lp, T.const(onehot))))
-    dist = attention_distance(T.stack(alphas), sup)
+    nll = neg(T.sumall(T.mul(lp, T.const(onehot))))
+    dist = attention_distance(stack(alphas), sup)
     return T.add(nll, T.scale(dist, lam))
 
 

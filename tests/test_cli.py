@@ -107,6 +107,17 @@ class TestTransformAlign:
         )
         assert simple.read_bytes() == smooth.read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_sigma_is_one_line_error(self, copy_corpus, tmp_path, caplog, value):
+        out = tmp_path / "out.txt"
+        caplog.clear()
+        assert run("transform-align", "--align", copy_corpus + ".align", "--src", copy_corpus + ".src",
+                   "--tgt", copy_corpus + ".tgt", "--mode", "smooth", f"--sigma={value}",
+                   "--out", str(out)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"sigma must be positive and finite, got {value}"]
+        assert not out.exists()
+
     def test_malformed_alignment_reports_line_number(self, copy_corpus, tmp_path, caplog):
         bad = tmp_path / "bad.align"
         lines = (tmp_path / "toy.align").read_text().splitlines()
@@ -229,6 +240,18 @@ class TestTrain:
         errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
         assert errors == [want]
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_checkpoint_directory_that_does_not_exist_is_refused_up_front(self, copy_corpus, tmp_path, caplog):
+        ckpt = tmp_path / "nodir" / "m"
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, ckpt, extra=f"log={tmp_path / 'train.log'}\n")
+        n = cfg.read_text().splitlines().index(f"checkpoint={ckpt}") + 1
+        caplog.clear()
+        assert run("train", "--config", str(cfg)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{cfg}:{n}: checkpoint directory '{ckpt.parent}' does not exist"]
+        assert not any(r.getMessage().startswith("epoch ") for r in caplog.records)
+        assert not (tmp_path / "train.log").exists()
 
     def test_missing_config_file_fails(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "nope.cfg")) == 2
@@ -472,6 +495,18 @@ class TestDecodeCommands:
         assert len(read_matrices(trained / "gap.attn")) == 5
         assert run("score-align", "--hyp", str(links), "--gold", str(trained / "gap.align")) == 0
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_dump_attn_non_finite_threshold_is_one_line_error(self, copy_corpus, trained, caplog, value):
+        out, links = trained / "attn.txt", trained / "links.txt"
+        caplog.clear()
+        assert run("dump-attn", "--checkpoint", str(trained / "m.ckpt"),
+                   "--src-vocab", str(trained / "v.src.vocab"), "--tgt-vocab", str(trained / "v.tgt.vocab"),
+                   "--src", copy_corpus + ".src", "--tgt", copy_corpus + ".tgt", "--out", str(out),
+                   "--align-out", str(links), f"--threshold={value}") == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"threshold must be finite, got {value}"]
+        assert not out.exists() and not links.exists()
+
     @pytest.mark.parametrize("command", ["translate", "dump-attn"])
     @pytest.mark.parametrize("side", ["src", "tgt"])
     @pytest.mark.parametrize("extra", [-1, 5])  # fewer and more entries than the model
@@ -632,6 +667,18 @@ def test_empty_input_is_one_line_error_naming_the_file(copy_corpus, tmp_path, ca
     assert not (tmp_path / "m2.ckpt").exists()
 
 
+@pytest.mark.parametrize("command, missing", NON_UTF8_INPUTS, ids=[f"{c}-{b}" for c, b in NON_UTF8_INPUTS])
+def test_missing_input_is_one_line_error_naming_the_file(copy_corpus, tmp_path, caplog, command, missing):
+    files, argv = _command_inputs(copy_corpus, tmp_path)
+    files[missing].unlink()
+    caplog.clear()
+    assert run(command, *argv[command]) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{files[missing]}: No such file or directory"]
+    assert "Traceback" not in caplog.text
+    assert not (tmp_path / "m2.ckpt").exists()
+
+
 # Each row's exit status and error line once its input keeps two whole lines
 # and part of the third (12 lines in every whole input), with the inputs'
 # paths as {key} and the cut config line's value as {value}. What is left of
@@ -643,7 +690,7 @@ TRUNCATED_INPUT_OUTCOMES = {
     ("transform-align", "align"): (2, "line count mismatch: {src} has 12, {tgt} has 12, {align} has 3"),
     ("transform-align", "src"): (2, "line count mismatch: {src} has 3, {tgt} has 12, {align} has 12"),
     ("transform-align", "tgt"): (2, "line count mismatch: {src} has 12, {tgt} has 3, {align} has 12"),
-    ("train", "config"): (2, "[Errno 2] No such file or directory: '{value}'"),
+    ("train", "config"): (2, "{value}: No such file or directory"),
     ("train", "src_vocab"): (0, None),
     ("train", "tgt_vocab"): (0, None),
     ("train", "src"): (2, "line count mismatch: {src} has 3, {tgt} has 12"),

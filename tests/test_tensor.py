@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from attnalign import model as M
 from attnalign import tensor as T
 from gradcheck import finite_diff_check
+from oracles import neg, stack
 
 
 def test_softmax_symmetry():
@@ -118,7 +119,7 @@ def per_step_gru_sequence(x_parts, u, mask, reverse=False, step=_composed_gru):
             m = T.const(mask[:, t, None], dtype)
             h = T.add(T.mul(h_new, m), T.mul(h, T.sub(1.0, m)))
         states[t] = h
-    return T.stack(states, axis=1)
+    return stack(states, axis=1)
 
 
 # B=2 sources of L=3 (MASK23), M=2 steps, H=2, A=2, C=3
@@ -139,7 +140,7 @@ def per_step_attention_decoder(s0, y_parts, h_proj, ctx_mat, mask, ws, v, u, w_c
         s, alpha = M.decode_step(s, [T.take(p, np.s_[:, t]) for p in y_parts], enc, tv, h_proj, w_ctx)
         states.append(s)
         alphas.append(alpha)
-    return T.concat([T.stack(states, axis=1), T.stack(alphas, axis=1)])
+    return T.concat([stack(states, axis=1), stack(alphas, axis=1)])
 
 
 def _attention_decoder_of(v, decoder=T.attention_decoder, mask=MASK23):
@@ -162,7 +163,7 @@ GRADCHECK_CASES = [
     ("log_softmax", lambda v: T.sumall(T.mul(T.log_softmax(v["b"]), T.const([0.5, -1.0, 2.0]))), {"b": (3,)}),
     ("concat", lambda v: T.sumall(T.square(T.concat([v["b"], v["e"]]))), {"b": (3,), "e": (2,)}),
     ("sub_float_left", lambda v: T.sumall(T.square(T.sub(1.0, v["b"]))), {"b": (3,)}),
-    ("stack", lambda v: T.sumall(T.square(T.stack([v["b"], v["g"]]))), {"b": (3,), "g": (3,)}),
+    ("stack", lambda v: T.sumall(T.square(stack([v["b"], v["g"]]))), {"b": (3,), "g": (3,)}),
     ("sigmoid", lambda v: T.sumall(T.sigmoid(v["b"])), {"b": (3,)}),
     ("sqrt_sum_square", lambda v: T.sqrt(T.sumall(T.square(v["b"]))), {"b": (3,)}),
     ("embed", lambda v: T.sumall(T.mul(T.square(T.embed(v["c"], [2, 0, 2])), T.const(W32))), {"c": (3, 2)}),
@@ -179,7 +180,7 @@ GRADCHECK_CASES = [
     ("vecmat_batched", lambda v: T.sumall(T.square(T.vecmat(v["p"], v["h"]))), {"p": (2, 3), "h": (2, 3, 2)}),
     ("matmul_nd", lambda v: T.sumall(T.square(T.matmul(v["h"], v["q"]))), {"h": (2, 3, 2), "q": (2, 4)}),
     ("concat_axis1", lambda v: T.sumall(T.square(T.concat([v["h"], v["r"]], axis=1))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
-    ("stack_axis1", lambda v: T.sumall(T.mul(T.stack([v["p"], v["o"]], axis=1), T.const(np.transpose(W232, (0, 2, 1))))), {"p": (2, 3), "o": (2, 3)}),
+    ("stack_axis1", lambda v: T.sumall(T.mul(stack([v["p"], v["o"]], axis=1), T.const(np.transpose(W232, (0, 2, 1))))), {"p": (2, 3), "o": (2, 3)}),
     ("take_step", lambda v: T.sumall(T.square(T.take(v["h"], np.s_[:, 1]))), {"h": (2, 3, 2)}),
     ("sqrt_sum_axes", lambda v: T.sumall(T.sqrt(T.sumall(T.square(v["h"]), axis=(-2, -1)))), {"h": (2, 3, 2)}),
     ("mul_broadcast", lambda v: T.sumall(T.square(T.mul(v["h"], v["r"]))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
@@ -321,7 +322,7 @@ def nll_and_gradients(layer, hd, wd, ids, lengths, adjoint):
         nll, log_probs = T.pick_nll(h, w, ids, lengths)
     else:
         out = layer(h, w, ids, lengths)
-        nll, log_probs = T.neg(T.sumall(out)), out.data
+        nll, log_probs = neg(T.sumall(out)), out.data
     loss = nll if adjoint == 1.0 else T.scale(nll, adjoint)
     grads = T.gradients(tape, loss, {"h": h, "w": w})
     return nll.data, log_probs, grads["h"], grads["w"]
