@@ -125,6 +125,16 @@ def train_settings(path, cfg):
 # subcommands
 
 
+def _check_out_dir(path):
+    """Raise the error that opening ``path`` for writing would raise for a
+    missing directory, such as ``PATH: No such file or directory``, before
+    a command reads its input."""
+    try:
+        os.stat(os.path.dirname(path) or ".")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
 def cmd_synth(args):
     spec = synth.SynthSpec(
         task=args.task,
@@ -134,6 +144,7 @@ def cmd_synth(args):
         pairs=args.pairs,
         seed=args.seed,
     )
+    _check_out_dir(args.out_prefix + ".src")
     paths = synth.write_corpus(spec, args.out_prefix)
     log.info("wrote %s, %s, %s", *paths)
     return 0
@@ -142,6 +153,7 @@ def cmd_synth(args):
 def cmd_prepare(args):
     if args.max_vocab < 1:
         raise ValueError(f"max_vocab must be >= 1, got {args.max_vocab}")
+    _check_out_dir(args.out_prefix + ".src.vocab")
     src_vocab = corpus.build_vocab(args.src, args.max_vocab)
     tgt_vocab = corpus.build_vocab(args.tgt, args.max_vocab)
     src_vocab.save(args.out_prefix + ".src.vocab")
@@ -153,6 +165,7 @@ def cmd_prepare(args):
 
 
 def cmd_transform_align(args):
+    _check_out_dir(args.out)
     src_lines, tgt_lines, align_lines = corpus.read_line_pair(args.src, args.tgt, args.align)
     cfg = supervision.SmoothingConfig(window=args.window, sigma=args.sigma)
     smoothing = cfg if args.mode == "smooth" else None
@@ -251,6 +264,10 @@ def _load_model_and_vocabs(args):
 
 
 def cmd_translate(args):
+    if args.max_len < 1:
+        raise ValueError(f"max-len must be >= 1, got {args.max_len}")
+    if args.out:
+        _check_out_dir(args.out)
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
     lines = corpus.read_lines(args.src)
     sources = [corpus.encode_line(args.src, n, line, src_vocab) for n, line in enumerate(lines, 1)]
@@ -271,6 +288,9 @@ def cmd_translate(args):
 def cmd_dump_attn(args):
     if not np.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
+    for path in (args.out, args.align_out):
+        if path:
+            _check_out_dir(path)
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
     pairs, n_lines, _ = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
     matrices = evaluation.dump_attention_all(params, pairs)

@@ -2,10 +2,10 @@
 extraction with the max-link rule, precision/recall/F1, and corpus BLEU
 with brevity penalty.
 
-Greedy decoding runs the encoder through the model's untracked forward
-pass once per chunk, then steps on plain arrays with
-``tensor.attention_step``, the step the teacher-forced decoder runs, so it
-records nothing per step. A sentence leaves its chunk once it emits eos.
+Greedy decoding returns token ids only. It runs the encoder through the
+model's untracked forward pass once per chunk, then steps on plain arrays
+with ``tensor.attention_step``, the step the teacher-forced decoder runs;
+a sentence leaves its chunk once it emits eos.
 Greedy decoding and attention dumping use one chunk rule: as many
 similar-length sentences as keep a decoder step's (k, L, A) attention tanh
 scratch within ``DECODE_CHUNK_BYTES``.
@@ -41,8 +41,7 @@ DECODE_CHUNK_BYTES = 256 << 10
 
 @dataclass
 class Hypothesis:
-    token_ids: list  # ends in eos unless truncated at max_len
-    attention: np.ndarray  # one row per emitted token
+    token_ids: list  # all greedy decoding keeps; ends in eos unless truncated at max_len
 
 
 def _chunks(params, lengths):
@@ -76,39 +75,30 @@ def _greedy_batch(params, sources, max_len):
                [p[f"dec.W{g}"][:, e:] for g in GATES])
     n, length, att = h_proj.shape
     hid, dtype = s.shape[1], s.dtype
-    # per-step records, grown as steps run: max_len may be far above what runs
-    tokens = np.empty((0, n), dtype=np.intp)
-    attention = np.empty((0, n, length), dtype=dtype)
-    steps = np.full(n, max_len)
+    tokens = [[] for _ in sources]  # grown as steps run: max_len may be far above what runs
     live = np.arange(n)  # the batch rows still decoding
     y = np.broadcast_to(p["bos_emb"], (n, e))
-    for t in range(max_len):
-        if t == len(tokens):
-            more = min(max(t, 16), max_len - t)
-            tokens = np.concatenate([tokens, np.empty((more, n), dtype=np.intp)])
-            attention = np.concatenate([attention, np.empty((more, n, length), dtype=dtype)])
+    for _ in range(max_len):
         k = len(live)
         bufs = [np.empty(shape, dtype) for shape in ((k, att), (k, length), (k, ctx_mat.shape[2]),
                                                      (2, k, hid), (k, hid), (k, hid), (k, hid),
                                                      (k, length, att))]
         T.attention_step(s, [y @ w.T + b for w, b in w_y], h_proj, ctx_mat, pad, *weights, bufs)
-        alpha, s = bufs[1], bufs[6]
+        s = bufs[6]
         x = np.tanh(np.concatenate([s, y], axis=-1) @ p["out.W1"].T + p["out.b1"]) @ p["out.W2"].T
         # the logits' argmax: a log-softmax only subtracts each row's
         # log-sum-exp, which keeps their order (rounding could at most tie two)
         best = x.argmax(axis=1)
-        tokens[t, live] = best
-        attention[t, live] = alpha
+        for j, tok in zip(live.tolist(), best.tolist()):
+            tokens[j].append(tok)
         ended = best == EOS_ID
         if ended.any():
-            steps[live[ended]] = t + 1
             keep = ~ended
             live, best, s, h_proj, ctx_mat, pad = (a[keep] for a in (live, best, s, h_proj, ctx_mat, pad))
             if not len(live):
                 break
         y = p["tgt_emb"][best]
-    return [Hypothesis(tokens[:m, j].tolist(), attention[:m, j, : len(src)].copy())
-            for j, (m, src) in enumerate(zip(steps, sources))]
+    return [Hypothesis(ids) for ids in tokens]
 
 
 def greedy_decode_all(params, sources, max_len=80):

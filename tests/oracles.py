@@ -8,7 +8,6 @@ import numpy as np
 from attnalign import evaluation
 from attnalign import tensor as T
 from attnalign.corpus import EOS_ID
-from attnalign.evaluation import Hypothesis
 from attnalign.model import (
     context_weights,
     decode_step,
@@ -41,13 +40,15 @@ def composed_greedy_batch(params, sources, max_len):
     """Greedy decoding of one batch through ``model.decode_step`` on
     untracked tensors: every step runs every row and emits each sentence's
     argmax token; a done mask stops a sentence at eos, and the batch stops
-    when all are done or after max_len steps."""
+    when all are done or after max_len steps. Returns one (token ids,
+    (m, l) attention of the steps that emitted them) pair per source."""
     tv, enc, h_proj = greedy_step_inputs(params, sources)
     ctx_w = context_weights(tv)
     s = initial_state(enc, tv)
     bos = tv["bos_emb"].data
     y = T.Tensor(np.broadcast_to(bos, (len(sources), bos.shape[0])))
-    hyps = [Hypothesis([], []) for _ in sources]
+    tokens = [[] for _ in sources]
+    attention = [[] for _ in sources]
     done = np.zeros(len(sources), dtype=bool)
     for _ in range(max_len):
         s, alpha = decode_step(s, target_projections(y, tv), enc, tv, h_proj, ctx_w)
@@ -55,25 +56,24 @@ def composed_greedy_batch(params, sources, max_len):
         best = lp.argmax(axis=1)
         for k in np.flatnonzero(~done):
             tok = int(best[k])
-            hyps[k].token_ids.append(tok)
-            hyps[k].attention.append(alpha.data[k, : len(sources[k])])
+            tokens[k].append(tok)
+            attention[k].append(alpha.data[k, : len(sources[k])])
         done |= best == EOS_ID
         if done.all():
             break
         y = T.Tensor(tv["tgt_emb"].data[best])
-    for hyp in hyps:
-        hyp.attention = np.stack(hyp.attention)
-    return hyps
+    return [(ids, np.stack(rows)) for ids, rows in zip(tokens, attention)]
 
 
 def composed_greedy_decode_all(params, sources, max_len):
     """``evaluation.greedy_decode_all``'s chunks, each decoded by
-    ``composed_greedy_batch``."""
-    hyps = [None] * len(sources)
+    ``composed_greedy_batch``; its (token ids, attention) pairs in input
+    order."""
+    out = [None] * len(sources)
     for chunk in evaluation._chunks(params, [len(src) for src in sources]):
-        for k, hyp in zip(chunk, composed_greedy_batch(params, [sources[k] for k in chunk], max_len)):
-            hyps[k] = hyp
-    return hyps
+        for k, got in zip(chunk, composed_greedy_batch(params, [sources[k] for k in chunk], max_len)):
+            out[k] = got
+    return out
 
 
 def per_row_extract_alignment(attn, threshold):

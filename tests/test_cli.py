@@ -789,3 +789,67 @@ def test_parse_config_file(tmp_path):
     bad.write_text("no equals here\n")
     with pytest.raises(ValueError, match="key=value"):
         parse_config_file(bad)
+
+
+# Each command with an output in a directory that does not exist, and the
+# function that does its work, which must not be reached.
+MISSING_OUT_DIR = [
+    ("translate", "--out", "attnalign.evaluation.greedy_decode_all"),
+    ("dump-attn", "--out", "attnalign.evaluation.dump_attention_all"),
+    ("dump-attn", "--align-out", "attnalign.evaluation.dump_attention_all"),
+    ("transform-align", "--out", "attnalign.supervision.supervision_matrix"),
+    ("prepare", "--out-prefix", "attnalign.corpus.build_vocab"),
+    ("synth", "--out-prefix", "attnalign.synth.generate"),
+]
+
+
+@pytest.mark.parametrize("command, flag, work", MISSING_OUT_DIR,
+                         ids=[f"{c}{f}" for c, f, _ in MISSING_OUT_DIR])
+def test_output_in_a_missing_directory_fails_before_the_work(
+    copy_corpus, tmp_path, caplog, monkeypatch, command, flag, work
+):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(work, reached)
+    missing = str(tmp_path / "nodir" / "x")
+    outs = {"--out": str(tmp_path / "x.out"), "--align-out": str(tmp_path / "x.links"),
+            "--out-prefix": str(tmp_path / "x")}
+    outs[flag] = missing
+    model = ["--checkpoint", str(DECODE_FIXTURE / "model.ckpt"),
+             "--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
+             "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab")]
+    src, tgt = ["--src", copy_corpus + ".src"], ["--tgt", copy_corpus + ".tgt"]
+    argv = {
+        "translate": [*model, *src, "--out", outs["--out"]],
+        "dump-attn": [*model, *src, *tgt, "--out", outs["--out"], "--align-out", outs["--align-out"]],
+        "transform-align": ["--align", copy_corpus + ".align", *src, *tgt, "--out", outs["--out"]],
+        "prepare": [*src, *tgt, "--out-prefix", outs["--out-prefix"]],
+        "synth": ["--pairs", "3", "--out-prefix", outs["--out-prefix"]],
+    }[command]
+    before = sorted(tmp_path.rglob("*"))
+    caplog.clear()
+    assert run(command, *argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    first = {"prepare": ".src.vocab", "synth": ".src"}.get(command, "")
+    assert errors == [f"{missing}{first}: No such file or directory"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_translate_rejects_max_len_below_one_before_loading_the_model(
+    copy_corpus, tmp_path, caplog, monkeypatch, value
+):
+    def reached(path):
+        raise AssertionError("checkpoint loaded")
+
+    monkeypatch.setattr("attnalign.cli.load_checkpoint", reached)
+    out = tmp_path / "hyp.txt"
+    caplog.clear()
+    assert run("translate", "--checkpoint", str(DECODE_FIXTURE / "model.ckpt"),
+               "--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
+               "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab"),
+               "--src", copy_corpus + ".src", "--max-len", value, "--out", str(out)) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"max-len must be >= 1, got {value}"]
+    assert not out.exists()
