@@ -9,6 +9,7 @@ and seeds; exit status is nonzero on any error.
 from __future__ import annotations
 
 import argparse
+import errno
 import logging
 import os
 import sys
@@ -127,12 +128,14 @@ def train_settings(path, cfg):
 
 def _check_out_dir(path):
     """Raise the error that opening ``path`` for writing would raise for a
-    missing directory, such as ``PATH: No such file or directory``, before
-    a command reads its input."""
+    missing directory or for a directory at ``path``, such as ``PATH: No
+    such file or directory``, before a command reads its input."""
     try:
         os.stat(os.path.dirname(path) or ".")
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
 
 
 def cmd_synth(args):

@@ -1,14 +1,12 @@
-"""Decoding and scoring: greedy translation, attention dumping, alignment
-extraction with the max-link rule, precision/recall/F1, and corpus BLEU
-with brevity penalty.
+"""Chunking and scoring: greedy translation and attention dumping over
+chunks of a corpus, alignment extraction with the max-link rule,
+precision/recall/F1, and corpus BLEU with brevity penalty.
 
-Greedy decoding returns token ids only. It runs the encoder through the
-model's untracked forward pass once per chunk, then steps on plain arrays
-with ``tensor.attention_step``, the step the teacher-forced decoder runs;
-a sentence leaves its chunk once it emits eos.
-Greedy decoding and attention dumping use one chunk rule: as many
-similar-length sentences as keep a decoder step's (k, L, A) attention tanh
-scratch within ``DECODE_CHUNK_BYTES``.
+Both decoders are the model's: each chunk goes to ``model.greedy_batch``
+or ``model.teacher_forced`` on untracked parameters. Greedy decoding and
+attention dumping use one chunk rule: as many similar-length sentences as
+keep a decoder step's (k, L, A) attention tanh scratch within
+``DECODE_CHUNK_BYTES``.
 """
 
 from __future__ import annotations
@@ -18,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .corpus import EOS_ID, make_batch
+from .corpus import make_batch
 from .model import (
-    GATES,
     bind,
     decode_step,  # noqa: F401  not called here; the bench's tracer wraps it through this module
-    greedy_step_inputs,
-    initial_state,
+    greedy_batch,
     teacher_forced,
 )
 
@@ -58,49 +53,6 @@ def _chunks(params, lengths):
     return chunks
 
 
-def _greedy_batch(params, sources, max_len):
-    """Greedy decoding of one batch of sources on plain arrays. The encoder
-    runs once; then each step runs ``tensor.attention_step`` and the output
-    layer over the sentences still decoding and emits each one's argmax
-    token. A sentence that emits eos leaves the batch, which ends when none
-    is left or after max_len steps."""
-    tv, enc, h_proj = greedy_step_inputs(params, sources)
-    p = params.tensors
-    e = p["bos_emb"].shape[0]
-    s = initial_state(enc, tv).data
-    h_proj, ctx_mat, pad = h_proj.data, enc.ctx_mat.data, enc.mask == 0
-    # the dec.W* columns as target_projections and context_weights take them
-    w_y = [(p["attn.Wy"], p["attn.b"]), *((p[f"dec.W{g}"][:, :e], p[f"dec.b{g}"]) for g in GATES)]
-    weights = (p["attn.Ws"], p["attn.v"], [p[f"dec.U{g}"] for g in GATES],
-               [p[f"dec.W{g}"][:, e:] for g in GATES])
-    n, length, att = h_proj.shape
-    hid, dtype = s.shape[1], s.dtype
-    tokens = [[] for _ in sources]  # grown as steps run: max_len may be far above what runs
-    live = np.arange(n)  # the batch rows still decoding
-    y = np.broadcast_to(p["bos_emb"], (n, e))
-    for _ in range(max_len):
-        k = len(live)
-        bufs = [np.empty(shape, dtype) for shape in ((k, att), (k, length), (k, ctx_mat.shape[2]),
-                                                     (2, k, hid), (k, hid), (k, hid), (k, hid),
-                                                     (k, length, att))]
-        T.attention_step(s, [y @ w.T + b for w, b in w_y], h_proj, ctx_mat, pad, *weights, bufs)
-        s = bufs[6]
-        x = np.tanh(np.concatenate([s, y], axis=-1) @ p["out.W1"].T + p["out.b1"]) @ p["out.W2"].T
-        # the logits' argmax: a log-softmax only subtracts each row's
-        # log-sum-exp, which keeps their order (rounding could at most tie two)
-        best = x.argmax(axis=1)
-        for j, tok in zip(live.tolist(), best.tolist()):
-            tokens[j].append(tok)
-        ended = best == EOS_ID
-        if ended.any():
-            keep = ~ended
-            live, best, s, h_proj, ctx_mat, pad = (a[keep] for a in (live, best, s, h_proj, ctx_mat, pad))
-            if not len(live):
-                break
-        y = p["tgt_emb"][best]
-    return [Hypothesis(ids) for ids in tokens]
-
-
 def greedy_decode_all(params, sources, max_len=80):
     """One Hypothesis per source id list, in input order, decoded in the
     chunks of _chunks on untracked parameters (no tape)."""
@@ -108,8 +60,8 @@ def greedy_decode_all(params, sources, max_len=80):
         raise ValueError("max_len must be >= 1")
     hyps = [None] * len(sources)
     for chunk in _chunks(params, [len(src) for src in sources]):
-        for k, hyp in zip(chunk, _greedy_batch(params, [sources[k] for k in chunk], max_len)):
-            hyps[k] = hyp
+        for k, ids in zip(chunk, greedy_batch(params, [sources[k] for k in chunk], max_len)):
+            hyps[k] = Hypothesis(ids)
     return hyps
 
 

@@ -4,8 +4,10 @@ Architecture: bidirectional GRU encoder over the source; a two-layer
 feed-forward attention network scoring each source state against the
 previous decoder state and previous target embedding; a GRU decoder fed the
 attention-weighted context; a two-layer output network projecting to the
-target vocabulary. The teacher-forced forward pass yields per-step reference
-log-probabilities and the full target-by-source attention matrix.
+target vocabulary. Both decoders start from ``decoder_start``: the
+teacher-forced pass yields per-step reference log-probabilities and the full
+target-by-source attention matrix, and greedy decoding (``greedy_batch``)
+emits token ids step by step through the same projections.
 
 Parameters are split into two partitions: "T" holds the output network
 (hidden layer weight, bias, vocabulary projection); "A" holds everything
@@ -23,7 +25,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import tensor as T
-from .corpus import pad
+from .corpus import EOS_ID, pad
 
 INIT_SCALE = 0.08
 
@@ -269,6 +271,15 @@ def output_states(s, y, tv):
     return T.tanh(T.add(T.matvec(tv["out.W1"], T.concat([s, y])), tv["out.b1"]))
 
 
+def decoder_start(tv, enc):
+    """What both decoders start from: the attention projection, the
+    initial state, then the weights in the order ``tensor.attention_decoder``
+    and ``tensor.attention_step`` take them (attn.Ws, attn.v, the dec.U_g
+    and ``context_weights``)."""
+    return (attention_projection(enc, tv), initial_state(enc, tv), tv["attn.Ws"], tv["attn.v"],
+            [tv[f"dec.U{g}"] for g in GATES], context_weights(tv))
+
+
 def decoder_inputs(tv, tgt_ids):
     """Previous-target embeddings (B, M, E) for teacher forcing: the learned
     begin-of-sentence embedding, then the embeddings of tgt_ids[:, :-1]."""
@@ -285,14 +296,9 @@ def teacher_forced(tv, batch, with_log_probs=True, nll_grad=True):
     over all the decoder states; without ``nll_grad`` the output layer runs
     on untracked inputs, so it takes no gradient products."""
     enc = encode(batch.src_ids, tv, batch.src_mask)
-    h_proj = attention_projection(enc, tv)
+    h_proj, s, *weights = decoder_start(tv, enc)
     y = decoder_inputs(tv, batch.tgt_ids)
-    parts = target_projections(y, tv)
-    ctx_w = context_weights(tv)
-    s = initial_state(enc, tv)
-    u = [tv[f"dec.U{g}"] for g in GATES]
-    run = T.attention_decoder(s, parts, h_proj, enc.ctx_mat, enc.mask, tv["attn.Ws"],
-                              tv["attn.v"], u, ctx_w)
+    run = T.attention_decoder(s, target_projections(y, tv), h_proj, enc.ctx_mat, enc.mask, *weights)
     hid = s.data.shape[-1]
     attention = T.take(run, np.s_[..., hid:])
     if not with_log_probs:
@@ -317,13 +323,51 @@ def forward_teacher_forced(params, batch, nll_grad=True, trainable=None):
 
 
 def greedy_step_inputs(params, sources):
-    """Encoder pass shared by greedy decoding over a list of source id
-    lists, on untracked parameters; returns (tv, enc, h_proj) and records no
-    tape."""
+    """The encoder pass and decoder start of greedy decoding over a list of
+    source id lists, on untracked parameters; returns (tv, enc,
+    *decoder_start(tv, enc)) and records no tape."""
     tv = bind(params)
     src_ids, mask = pad(sources)
     enc = encode(src_ids, tv, mask)
-    return tv, enc, attention_projection(enc, tv)
+    return (tv, enc, *decoder_start(tv, enc))
+
+
+def greedy_batch(params, sources, max_len):
+    """Greedy decoding of one batch of sources: a token id list per source,
+    ending in eos unless cut at max_len. After the encoder, each step runs
+    ``tensor.attention_step`` and the output layer over the sentences still
+    decoding and emits each one's argmax token other than <pad>; a sentence
+    that emits eos leaves the batch, which ends when none is left."""
+    tv, enc, h_proj, s, ws, v, u, ctx_w = greedy_step_inputs(params, sources)
+    weights = (ws.data, v.data, [w.data for w in u], [w.data for w in ctx_w])
+    h_proj, ctx_mat, pad_at, s = h_proj.data, enc.ctx_mat.data, enc.mask == 0, s.data
+    n, length, att = h_proj.shape
+    hid, dtype = s.shape[1], s.dtype
+    tokens = [[] for _ in sources]  # grown as steps run: max_len may be far above what runs
+    live = np.arange(n)  # the batch rows still decoding
+    bos = tv["bos_emb"].data
+    y = T.Tensor(np.broadcast_to(bos, (n, bos.shape[0])))
+    for _ in range(max_len):
+        k = len(live)
+        bufs = [np.empty(shape, dtype) for shape in ((k, att), (k, length), (k, ctx_mat.shape[2]),
+                                                     (2, k, hid), (k, hid), (k, hid), (k, hid),
+                                                     (k, length, att))]
+        T.attention_step(s, [p.data for p in target_projections(y, tv)], h_proj, ctx_mat, pad_at, *weights, bufs)
+        s = bufs[6]
+        x = output_states(T.Tensor(s), y, tv).data @ tv["out.W2"].data.T
+        # the logits' argmax past <pad> (id 0): a log-softmax only subtracts
+        # each row's log-sum-exp, which keeps their order (rounding could at most tie two)
+        best = x[:, 1:].argmax(axis=1) + 1
+        for j, tok in zip(live.tolist(), best.tolist()):
+            tokens[j].append(tok)
+        ended = best == EOS_ID
+        if ended.any():
+            keep = ~ended
+            live, best, s, h_proj, ctx_mat, pad_at = (a[keep] for a in (live, best, s, h_proj, ctx_mat, pad_at))
+            if not len(live):
+                break
+        y = T.Tensor(tv["tgt_emb"].data[best])
+    return tokens
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,7 @@ import numpy as np
 from attnalign import evaluation
 from attnalign import tensor as T
 from attnalign.corpus import EOS_ID
-from attnalign.model import (
-    context_weights,
-    decode_step,
-    greedy_step_inputs,
-    initial_state,
-    output_states,
-    target_projections,
-)
+from attnalign.model import decode_step, greedy_step_inputs, output_states, target_projections
 
 
 def neg(a):
@@ -39,12 +32,11 @@ def output_log_probs(o, tv):
 def composed_greedy_batch(params, sources, max_len):
     """Greedy decoding of one batch through ``model.decode_step`` on
     untracked tensors: every step runs every row and emits each sentence's
-    argmax token; a done mask stops a sentence at eos, and the batch stops
-    when all are done or after max_len steps. Returns one (token ids,
-    (m, l) attention of the steps that emitted them) pair per source."""
-    tv, enc, h_proj = greedy_step_inputs(params, sources)
-    ctx_w = context_weights(tv)
-    s = initial_state(enc, tv)
+    argmax token other than <pad>; a done mask stops a sentence at eos, and
+    the batch stops when all are done or after max_len steps. Returns one
+    (token ids, (m, l) attention of the steps that emitted them) pair per
+    source."""
+    tv, enc, h_proj, s, *_, ctx_w = greedy_step_inputs(params, sources)
     bos = tv["bos_emb"].data
     y = T.Tensor(np.broadcast_to(bos, (len(sources), bos.shape[0])))
     tokens = [[] for _ in sources]
@@ -53,7 +45,7 @@ def composed_greedy_batch(params, sources, max_len):
     for _ in range(max_len):
         s, alpha = decode_step(s, target_projections(y, tv), enc, tv, h_proj, ctx_w)
         lp = output_log_probs(output_states(s, y, tv), tv).data
-        best = lp.argmax(axis=1)
+        best = lp[:, 1:].argmax(axis=1) + 1  # never <pad> (id 0)
         for k in np.flatnonzero(~done):
             tok = int(best[k])
             tokens[k].append(tok)

@@ -3,8 +3,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from attnalign import corpus
 from attnalign.cli import main, parse_config_file
-from attnalign.model import load_checkpoint
+from attnalign.corpus import EOS_ID, PAD_ID, PAD_TOKEN
+from attnalign.evaluation import greedy_decode_all
+from attnalign.model import load_checkpoint, save_checkpoint
 
 
 def run(*argv):
@@ -763,6 +766,41 @@ def test_dump_attn_of_the_decode_pool_equals_the_recorded_links(tmp_path):
     assert links.read_text(encoding="utf-8").splitlines() == [row.split("\t")[2] for row in recorded]
 
 
+def test_float64_greedy_decoding_of_the_decode_pool_equals_the_recorded_translations(tmp_path):
+    assert run("synth", *DECODE_POOL_SYNTH, "--out-prefix", str(tmp_path / "pool")) == 0
+    params = load_checkpoint(DECODE_FIXTURE / "model.ckpt")
+    params.tensors = {name: arr.astype(np.float64) for name, arr in params.tensors.items()}
+    src_vocab = corpus.Vocab.load(DECODE_FIXTURE / "src.vocab")
+    tgt_vocab = corpus.Vocab.load(DECODE_FIXTURE / "tgt.vocab")
+    path = tmp_path / "pool.src"
+    sources = [corpus.encode_line(path, n, line, src_vocab)
+               for n, line in enumerate(corpus.read_lines(path), 1)]
+    hyps = greedy_decode_all(params, sources)
+    got = [" ".join(tgt_vocab.decode(t for t in h.token_ids if t != EOS_ID)) for h in hyps]
+    recorded = (DECODE_FIXTURE / "expected.tsv").read_text(encoding="utf-8").splitlines()
+    assert got == [row.split("\t")[1] for row in recorded]
+
+
+def test_translate_never_writes_pad_and_its_output_reads_back(tmp_path):
+    params = load_checkpoint(DECODE_FIXTURE / "model.ckpt")
+    w2 = params.tensors["out.W2"]
+    w2[PAD_ID] = w2[EOS_ID]  # <pad> ties eos wherever eos wins, and has the lower id
+    save_checkpoint(params, tmp_path / "tied.ckpt")
+    assert run("synth", *DECODE_POOL_SYNTH, "--out-prefix", str(tmp_path / "pool")) == 0
+    vocabs = ["--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
+              "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab")]
+    out = tmp_path / "pool.hyp"
+    assert run("translate", "--checkpoint", str(tmp_path / "tied.ckpt"), *vocabs,
+               "--src", str(tmp_path / "pool.src"), "--out", str(out)) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert not any(PAD_TOKEN in line.split() for line in lines)
+    recorded = (DECODE_FIXTURE / "expected.tsv").read_text(encoding="utf-8").splitlines()
+    assert lines == [row.split("\t")[1] for row in recorded]
+    assert run("dump-attn", "--checkpoint", str(tmp_path / "tied.ckpt"), *vocabs,
+               "--src", str(tmp_path / "pool.src"), "--tgt", str(out),
+               "--out", str(tmp_path / "pool.attn")) == 0
+
+
 def test_prepare_rejects_a_reserved_token(copy_corpus, tmp_path, caplog):
     tgt = tmp_path / "reserved.tgt"
     tgt.write_text("a <pad>\n")
@@ -803,6 +841,29 @@ MISSING_OUT_DIR = [
 ]
 
 
+def out_path_argv(copy_corpus, tmp_path, command, flag, path):
+    """``command``'s arguments with ``path`` as its ``flag`` output and
+    every other output in ``tmp_path``."""
+    outs = {"--out": str(tmp_path / "x.out"), "--align-out": str(tmp_path / "x.links"),
+            "--out-prefix": str(tmp_path / "x")}
+    outs[flag] = path
+    model = ["--checkpoint", str(DECODE_FIXTURE / "model.ckpt"),
+             "--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
+             "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab")]
+    src, tgt = ["--src", copy_corpus + ".src"], ["--tgt", copy_corpus + ".tgt"]
+    return {
+        "translate": [*model, *src, "--out", outs["--out"]],
+        "dump-attn": [*model, *src, *tgt, "--out", outs["--out"], "--align-out", outs["--align-out"]],
+        "transform-align": ["--align", copy_corpus + ".align", *src, *tgt, "--out", outs["--out"]],
+        "prepare": [*src, *tgt, "--out-prefix", outs["--out-prefix"]],
+        "synth": ["--pairs", "3", "--out-prefix", outs["--out-prefix"]],
+    }[command]
+
+
+# The first file a prefix command writes, after its prefix.
+FIRST_OUT_SUFFIX = {"prepare": ".src.vocab", "synth": ".src"}
+
+
 @pytest.mark.parametrize("command, flag, work", MISSING_OUT_DIR,
                          ids=[f"{c}{f}" for c, f, _ in MISSING_OUT_DIR])
 def test_output_in_a_missing_directory_fails_before_the_work(
@@ -813,26 +874,34 @@ def test_output_in_a_missing_directory_fails_before_the_work(
 
     monkeypatch.setattr(work, reached)
     missing = str(tmp_path / "nodir" / "x")
-    outs = {"--out": str(tmp_path / "x.out"), "--align-out": str(tmp_path / "x.links"),
-            "--out-prefix": str(tmp_path / "x")}
-    outs[flag] = missing
-    model = ["--checkpoint", str(DECODE_FIXTURE / "model.ckpt"),
-             "--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
-             "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab")]
-    src, tgt = ["--src", copy_corpus + ".src"], ["--tgt", copy_corpus + ".tgt"]
-    argv = {
-        "translate": [*model, *src, "--out", outs["--out"]],
-        "dump-attn": [*model, *src, *tgt, "--out", outs["--out"], "--align-out", outs["--align-out"]],
-        "transform-align": ["--align", copy_corpus + ".align", *src, *tgt, "--out", outs["--out"]],
-        "prepare": [*src, *tgt, "--out-prefix", outs["--out-prefix"]],
-        "synth": ["--pairs", "3", "--out-prefix", outs["--out-prefix"]],
-    }[command]
+    argv = out_path_argv(copy_corpus, tmp_path, command, flag, missing)
     before = sorted(tmp_path.rglob("*"))
     caplog.clear()
     assert run(command, *argv) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
-    first = {"prepare": ".src.vocab", "synth": ".src"}.get(command, "")
+    first = FIRST_OUT_SUFFIX.get(command, "")
     assert errors == [f"{missing}{first}: No such file or directory"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command, flag, work", MISSING_OUT_DIR,
+                         ids=[f"{c}{f}" for c, f, _ in MISSING_OUT_DIR])
+def test_output_that_is_a_directory_fails_before_the_work(
+    copy_corpus, tmp_path, caplog, monkeypatch, command, flag, work
+):
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(work, reached)
+    prefix = str(tmp_path / "adir")
+    first = FIRST_OUT_SUFFIX.get(command, "")
+    Path(prefix + first).mkdir()
+    argv = out_path_argv(copy_corpus, tmp_path, command, flag, prefix)
+    before = sorted(tmp_path.rglob("*"))
+    caplog.clear()
+    assert run(command, *argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == [f"{prefix}{first}: Is a directory"]
     assert sorted(tmp_path.rglob("*")) == before
 
 

@@ -403,28 +403,24 @@ def test_finished_sentences_leave_the_batch(monkeypatch):
 
 def test_greedy_steps_record_nothing_on_the_tape(monkeypatch):
     from attnalign import evaluation
-    from attnalign import model as M
     from attnalign import tensor as T
 
     p = init_params(MIX_DIMS, seed=0, init_scale=0.8)
     w2 = p.tensors["out.W2"]
-    w2[EOS_ID] = w2[0]  # eos ties with <pad>, whose lower id wins: no sentence ends
+    w2[EOS_ID] = 0
+    w2[2] = -w2[3]  # one of two opposite logits beats eos's 0: no sentence ends
     sources = mix_sources()
-    calls = []
+    parents, tapes = [], []
     record = T._record
 
-    def counting_record(data, parents):
-        calls.append(1)
-        return record(data, parents)
+    def checking_record(data, inputs):
+        parents.extend(t.tape for t, _ in inputs)
+        return record(data, inputs)
 
-    monkeypatch.setattr(T, "_record", counting_record)
-    counts = []
+    monkeypatch.setattr(T, "_record", checking_record)
+    monkeypatch.setattr(T, "Tape", lambda *args: tapes.append(args))
     for max_len in (5, 50):
-        calls.clear()
         hyps = evaluation.greedy_decode_all(p, sources, max_len=max_len)
         assert all(len(h.token_ids) == max_len and EOS_ID not in h.token_ids for h in hyps)
-        counts.append(len(calls))
-    calls.clear()
-    tv, enc, _ = M.greedy_step_inputs(p, sources)  # one chunk: the encoder pass alone
-    M.initial_state(enc, tv)
-    assert counts == [len(calls)] * 2
+    assert parents and all(tape is None for tape in parents)
+    assert tapes == []

@@ -258,9 +258,9 @@ class TestForward:
             assert np.array_equal(grads[name], want[leaf.node]), name
 
     def test_greedy_step_inputs_record_no_tape(self):
-        tv, enc, h_proj = M.greedy_step_inputs(make_params(1), [make_pair().src_ids])
+        tv, enc, h_proj, s, *_ = M.greedy_step_inputs(make_params(1), [make_pair().src_ids])
         assert all(t.tape is None for t in tv.values())
-        assert enc.h_mat.tape is None and h_proj.tape is None
+        assert enc.h_mat.tape is None and h_proj.tape is None and s.tape is None
 
     def test_deterministic(self):
         p = make_params(9)
