@@ -151,18 +151,24 @@ def attention_distance(attn, target, mask=None):
 
 
 # ---------------------------------------------------------------------------
-# text format: first line "m l", then m lines of l space-separated decimals
+# text format: first line "m l", then m lines of l space-separated decimals;
+# a float32 value is written at 9 significant digits, which read back to the
+# same float32, and any other dtype as the repr of its float64 cast
 
 
 def format_matrix(matrix):
-    matrix = np.asarray(matrix, dtype=np.float64)
+    """The text of one matrix: float32 values at 9 significant digits (exact
+    after a float32 cast of the read-back), any other dtype as float64 repr."""
+    matrix = np.asarray(matrix)
     m, l = matrix.shape
-    lines = [f"{m} {l}"]
-    lines += [" ".join(map(repr, row)) for row in matrix.tolist()]
-    return "\n".join(lines) + "\n"
+    fmt = " ".join(["%.9g" if matrix.dtype == np.float32 else "%r"] * l)
+    rows = [fmt % tuple(row) for row in matrix.astype(np.float64, copy=False).tolist()]
+    return "\n".join([f"{m} {l}", *rows]) + "\n"
 
 
 def parse_matrix(text):
+    """A float64 array from ``format_matrix`` text; a float32 matrix's text
+    gives back its exact values after ``astype(np.float32)``."""
     lines = [ln for ln in text.strip().splitlines()]
     if not lines:
         raise ValueError("empty matrix text")

@@ -6,8 +6,9 @@ import pytest
 from attnalign import corpus
 from attnalign.cli import main, parse_config_file
 from attnalign.corpus import EOS_ID, PAD_ID, PAD_TOKEN
-from attnalign.evaluation import greedy_decode_all
+from attnalign.evaluation import dump_attention_all, extract_alignment, greedy_decode_all
 from attnalign.model import load_checkpoint, save_checkpoint
+from attnalign.supervision import read_matrices
 
 
 def run(*argv):
@@ -454,8 +455,6 @@ class TestDecodeCommands:
             str(trained / "links.txt"),
         )
         assert rc == 0
-        from attnalign.supervision import read_matrices
-
         mats = read_matrices(out)
         srcs = (trained / "toy.src").read_text().splitlines()
         tgts = (trained / "toy.tgt").read_text().splitlines()
@@ -493,8 +492,6 @@ class TestDecodeCommands:
         assert rc == 0
         assert len(links.read_text().splitlines()) == 6
         assert links.read_text().splitlines()[2] == ""
-        from attnalign.supervision import read_matrices
-
         assert len(read_matrices(trained / "gap.attn")) == 5
         assert run("score-align", "--hyp", str(links), "--gold", str(trained / "gap.align")) == 0
 
@@ -766,6 +763,31 @@ def test_dump_attn_of_the_decode_pool_equals_the_recorded_links(tmp_path):
     assert links.read_text(encoding="utf-8").splitlines() == [row.split("\t")[2] for row in recorded]
 
 
+def test_dump_attn_text_of_the_decode_pool_reads_back_to_its_float32_matrices(tmp_path):
+    assert run("synth", *DECODE_POOL_SYNTH, "--out-prefix", str(tmp_path / "pool")) == 0
+    src, tgt = tmp_path / "pool.src", tmp_path / "pool.tgt"
+    attn, links = tmp_path / "pool.attn", tmp_path / "pool.links"
+    assert run("dump-attn", "--checkpoint", str(DECODE_FIXTURE / "model.ckpt"),
+               "--src-vocab", str(DECODE_FIXTURE / "src.vocab"),
+               "--tgt-vocab", str(DECODE_FIXTURE / "tgt.vocab"),
+               "--src", str(src), "--tgt", str(tgt),
+               "--out", str(attn), "--align-out", str(links)) == 0
+    params = load_checkpoint(DECODE_FIXTURE / "model.ckpt")
+    src_vocab = corpus.Vocab.load(DECODE_FIXTURE / "src.vocab")
+    tgt_vocab = corpus.Vocab.load(DECODE_FIXTURE / "tgt.vocab")
+    pairs, n_lines, _ = corpus.load_parallel(src, tgt, src_vocab, tgt_vocab, max_len=None)
+    want = dump_attention_all(params, pairs)
+    got = [mat.astype(np.float32) for mat in read_matrices(attn)]
+    assert len(got) == len(want) == len(pairs)
+    for g, w in zip(got, want):
+        assert w.dtype == np.float32
+        assert np.array_equal(g.view(np.uint32), w.view(np.uint32))
+    lines = [""] * n_lines
+    for pair, mat in zip(pairs, got):
+        lines[pair.pair_index] = corpus.format_pharaoh(extract_alignment(mat))
+    assert links.read_text(encoding="utf-8").splitlines() == lines
+
+
 def test_float64_greedy_decoding_of_the_decode_pool_equals_the_recorded_translations(tmp_path):
     assert run("synth", *DECODE_POOL_SYNTH, "--out-prefix", str(tmp_path / "pool")) == 0
     params = load_checkpoint(DECODE_FIXTURE / "model.ckpt")
@@ -799,6 +821,34 @@ def test_translate_never_writes_pad_and_its_output_reads_back(tmp_path):
     assert run("dump-attn", "--checkpoint", str(tmp_path / "tied.ckpt"), *vocabs,
                "--src", str(tmp_path / "pool.src"), "--tgt", str(out),
                "--out", str(tmp_path / "pool.attn")) == 0
+
+
+def test_every_command_reads_the_output_of_the_one_before(tmp_path, capsys):
+    d = str(tmp_path / "d")
+    assert run("synth", "--task", "reverse", "--vocab-size", "8", "--min-len", "2",
+               "--max-len", "5", "--pairs", "16", "--seed", "3", "--out-prefix", d) == 0
+    assert run("prepare", "--src", d + ".src", "--tgt", d + ".tgt", "--out-prefix", d) == 0
+    assert run("transform-align", "--align", d + ".align", "--src", d + ".src",
+               "--tgt", d + ".tgt", "--mode", "smooth", "--out", d + ".sup") == 0
+    assert len(read_matrices(d + ".sup")) == 16
+    for precision in (32, 64):
+        m = f"{d}{precision}"
+        cfg = tmp_path / f"train{precision}.cfg"
+        write_train_config(cfg, d, m, extra=f"src_vocab={d}.src.vocab\ntgt_vocab={d}.tgt.vocab\n"
+                                            f"smoothing=1\nprecision={precision}\n")
+        assert run("train", "--config", str(cfg)) == 0
+        model = ["--checkpoint", m + ".ckpt", "--src-vocab", d + ".src.vocab",
+                 "--tgt-vocab", d + ".tgt.vocab"]
+        assert run("translate", *model, "--src", d + ".src", "--max-len", "8", "--out", m + ".hyp") == 0
+        assert run("dump-attn", *model, "--src", d + ".src", "--tgt", m + ".hyp",
+                   "--out", m + ".attn", "--align-out", m + ".links") == 0
+        hyps = Path(m + ".hyp").read_text(encoding="utf-8").splitlines()
+        assert len(read_matrices(m + ".attn")) == sum(1 for h in hyps if h)
+        capsys.readouterr()
+        assert run("score-align", "--hyp", m + ".links", "--gold", d + ".align") == 0
+        assert run("score-bleu", "--hyp", m + ".hyp", "--ref", d + ".tgt") == 0
+        out = capsys.readouterr().out
+        assert "f1=" in out and "bleu=" in out
 
 
 def test_prepare_rejects_a_reserved_token(copy_corpus, tmp_path, caplog):

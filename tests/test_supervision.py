@@ -225,8 +225,27 @@ def test_matrix_text_equals_per_value_repr(dtype):
     mat = rng.random((5, 4)).astype(dtype)
     mat[0, :3] = [0.0, 1.0, 1e-30]
     mat[1, 0] = np.finfo(dtype).tiny
-    rows = [" ".join(repr(float(v)) for v in row) for row in mat]
+    if dtype == np.float32:  # 9 significant digits hold every float32
+        rows = [" ".join("%.9g" % float(v) for v in row) for row in mat]
+    else:
+        rows = [" ".join(repr(float(v)) for v in row) for row in mat]
     assert format_matrix(mat) == "\n".join(["5 4", *rows]) + "\n"
+
+
+@pytest.mark.parametrize("dtype, bits", [(np.float32, np.uint32), (np.float64, np.uint64)])
+def test_matrix_text_reads_back_bit_for_bit(dtype, bits):
+    # random finite bit patterns, then the edge values, in one matrix
+    rng = np.random.default_rng(9)
+    values = rng.integers(0, np.iinfo(bits).max, size=21000, dtype=bits, endpoint=True).view(dtype)
+    info = np.finfo(dtype)
+    one = dtype(1)
+    edges = [-0.0, info.smallest_subnormal, -3 * info.smallest_subnormal,
+             np.nextafter(info.tiny, dtype(0)), info.tiny, info.max, -info.max,
+             one, np.nextafter(one, dtype(0)), np.nextafter(one, dtype(2))]
+    values = np.concatenate([values[np.isfinite(values)][:19990], np.array(edges, dtype=dtype)])
+    mat = values.reshape(-1, 10)
+    again = parse_matrix(format_matrix(mat)).astype(dtype)
+    assert np.array_equal(again.view(bits), mat.view(bits))
 
 
 def test_matrix_text_malformed():
