@@ -79,7 +79,7 @@ TRAIN_KEYS = {
     "out": (int, 64, _POSITIVE),
     "precision": (int, 64, (lambda v: v in (32, 64), "must be 32 or 64")),
     "init_scale": (float, 0.08, (lambda v: v > 0, "must be > 0")),
-    "seed": (int, 0, None),
+    "seed": (int, 0, _NON_NEGATIVE),
     "schedule": (str, "J", None),
     "epochs": (int, 10, _NON_NEGATIVE),
     "lambda": (float, 1.0, _NON_NEGATIVE),

@@ -66,13 +66,15 @@ class Vocab:
     @classmethod
     def load(cls, path):
         """The vocabulary ``save`` wrote: empty lines are skipped, a repeated
-        token keeps its first id, and a reserved token or a file without
-        a token is an error."""
+        token keeps its first id, and a reserved token, a line that is not
+        one token (it holds whitespace, so no text token could match it) or
+        a file without a token is an error."""
         lines = read_lines(path)
-        reserved = set(RESERVED).intersection(lines)
-        if reserved:
-            lineno = min(lines.index(t) for t in reserved) + 1
-            raise ValueError(f"{path}:{lineno}: reserved token {lines[lineno - 1]!r} in a vocabulary file")
+        for lineno, line in enumerate(lines, 1):
+            if line in RESERVED:
+                raise ValueError(f"{path}:{lineno}: reserved token {line!r} in a vocabulary file")
+            if line and line.split() != [line]:
+                raise ValueError(f"{path}:{lineno}: {line!r} is not one token without whitespace")
         if not any(lines):
             raise ValueError(f"{path}: empty vocabulary")
         return cls(t for t in lines if t)

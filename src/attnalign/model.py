@@ -315,7 +315,7 @@ def forward_teacher_forced(params, batch, nll_grad=True, trainable=None):
     its leaves. The first decoder input is a learned begin-of-sentence
     embedding. Deterministic. Without ``nll_grad`` the NLL is untracked,
     for an objective that does not read it."""
-    tape = T.Tape(next(iter(params.tensors.values())).dtype)
+    tape = T.Tape()
     tv = bind(params, tape, trainable)
     nll, log_probs, attention = teacher_forced(tv, batch, nll_grad=nll_grad)
     return DecoderTrace(nll, log_probs, attention, tape, tv,
@@ -466,6 +466,8 @@ def _parse_checkpoint(blob):
         name = take(name_len, "tensor name").decode("utf-8")
         if name not in expected:
             raise CheckpointError(f"unexpected tensor {name!r} at offset {off}")
+        if name in tensors:
+            raise CheckpointError(f"duplicate tensor {name!r} at offset {off}")
         (rank,) = struct.unpack("<I", take(4, f"rank of {name!r}"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, f"shape of {name!r}"))
         if shape != expected[name]:

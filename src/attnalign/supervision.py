@@ -147,7 +147,7 @@ def attention_distance(attn, target, mask=None):
     if mask is not None:
         diff = T.mul(diff, T.Tensor(mask))
     axes = (-2, -1) if attn.data.ndim > 2 else None
-    return T.sqrt(T.sumall(T.square(diff), axis=axes))
+    return T.sqrt(T.sumall(T.mul(diff, diff), axis=axes))
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ its operand's shape), and products and reductions act on the last axes, so
 one node serves every sentence of a batch. Only the primitives needed by the
 encoder-decoder model are provided:
 
-- elementwise: add, sub, mul, scale, tanh, sigmoid, square, sqrt;
+- elementwise: add, sub, mul, tanh, sigmoid, sqrt;
 - products: matvec (W applied along the last axis), vecmat (batched
   weighted sum of rows), matmul;
 - assembly and indexing: concat along an axis, take (numpy basic
@@ -75,16 +75,15 @@ class Tape:
     so the sequence is topologically ordered by construction.
     """
 
-    def __init__(self, dtype=np.float64):
-        self.dtype = np.dtype(dtype)
+    def __init__(self):
         self._nodes = []
 
     def __len__(self):
         return len(self._nodes)
 
     def var(self, value):
-        """Register a tracked leaf (trainable parameter or input)."""
-        data = np.asarray(value, dtype=self.dtype)
+        """Register a tracked leaf (trainable parameter or input) in its dtype."""
+        data = np.asarray(value)
         nid = len(self._nodes)
         self._nodes.append(())
         return Tensor(data, self, nid)
@@ -176,17 +175,12 @@ def sub(a, b):
 
 
 def mul(a, b):
+    """a * b; b may be a python float."""
     b = _as_tensor(b, a)
     out = _broadcast("mul", np.multiply, a, b)
     ad, bd = a.data, b.data
     return _record(out, [(a, lambda g: _unbroadcast(g * bd, ad.shape)),
                          (b, lambda g: _unbroadcast(g * ad, bd.shape))])
-
-
-def scale(a, c):
-    """Multiply by a python scalar."""
-    c = float(c)
-    return _record(a.data * c, [(a, lambda g: g * c)])
 
 
 def matvec(w, x):
@@ -372,12 +366,6 @@ def tanh(x):
 def sigmoid(x):
     out = 1.0 / (1.0 + np.exp(-x.data))
     return _record(out, [(x, lambda g: g * out * (1.0 - out))])
-
-
-def square(x):
-    out = x.data * x.data
-    xd = x.data
-    return _record(out, [(x, lambda g: 2.0 * xd * g)])
 
 
 def sqrt(x):

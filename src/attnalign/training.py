@@ -131,7 +131,7 @@ def sentence_loss(trace, sup, kind, align_weight=1.0):
         return trace.nll
     if sup is None:
         raise ValueError(f"{kind} objective requires a supervision matrix")
-    align = T.scale(T.sumall(_distances(trace, sup)), align_weight)
+    align = T.mul(T.sumall(_distances(trace, sup)), align_weight)
     return align if kind == ALIGNMENT else T.add(trace.nll, align)
 
 

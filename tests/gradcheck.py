@@ -29,7 +29,7 @@ def finite_diff_check(f, params, step=1e-5, tolerance=1e-6, denom_eps=1e-10):
     |g_ad - g_fd| / max(|g_ad|, |g_fd|, denom_eps).
     """
     params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-    tape = Tape(np.float64)
+    tape = Tape()
     leaves = {k: tape.var(v) for k, v in params.items()}
     loss = f(leaves)
     if not np.isfinite(loss.data):

@@ -137,7 +137,7 @@ def _joint_objective(leaves, dims, pair, sup, lam):
     onehot = np.eye(dims.tgt_vocab)[pair.tgt_ids][:, None, :]
     nll = neg(T.sumall(T.mul(lp, T.const(onehot))))
     dist = attention_distance(stack(alphas), sup)
-    return T.add(nll, T.scale(dist, lam))
+    return T.add(nll, T.mul(dist, lam))
 
 
 def _random_tiny_model(rng):

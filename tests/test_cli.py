@@ -276,6 +276,7 @@ class TestTrain:
             ("epochs=abc", "epochs must be int, got 'abc'"),
             ("lamda=0", "unknown key 'lamda'"),
             ("hidden=0", "hidden must be >= 1, got '0'"),
+            ("seed=-1", "seed must be >= 0, got '-1'"),
             ("schedule=JOINT:ALL", "malformed phase 'JOINT:ALL' (want OBJ:PART:EPOCHS)"),
         ],
     )
@@ -547,9 +548,10 @@ class TestDecodeCommands:
              "missing or bad partition tag for 'attn.v'"),
             (lambda b, r: b.replace(b"partition.out.W2=T", b"partition.out.W2=A", 1),
              "missing or bad partition tag for 'out.W2'"),
+            (lambda b, r: b + b[r:], "duplicate tensor 'src_emb' at offset "),
         ],
         ids=["cut-header", "cut-name", "cut-shape", "cut-payload", "non-utf8", "hidden-abc",
-             "seed-float", "hidden-0", "partition-X", "partition-swapped"],
+             "seed-float", "hidden-0", "partition-X", "partition-swapped", "duplicate-record"],
     )
     def test_damaged_checkpoint_is_one_line_error_naming_it(
         self, copy_corpus, trained, caplog, damage, reason

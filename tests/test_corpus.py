@@ -75,6 +75,14 @@ class TestVocab:
         with pytest.raises(ValueError, match=r"v\.vocab:5: reserved token '<eos>'"):
             Vocab.load(path)
 
+    @pytest.mark.parametrize("entry", ["w1 ", "w2 w3", "\tw4", "  "])
+    def test_load_rejects_a_line_that_is_not_one_token(self, tmp_path, entry):
+        # such an entry could never match a text token, so its word would read as <unk>
+        path = tmp_path / "v.vocab"
+        path.write_text(f"a\n\n{entry}\nb\n", encoding="utf-8")
+        with pytest.raises(ValueError) as exc:
+            Vocab.load(path)
+        assert str(exc.value) == f"{path}:3: {entry!r} is not one token without whitespace"
 
     def test_load_rejects_a_file_without_a_token(self, tmp_path):
         path = tmp_path / "v.vocab"

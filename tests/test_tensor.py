@@ -11,6 +11,11 @@ from gradcheck import finite_diff_check
 from oracles import neg, stack
 
 
+def square(x):
+    """x * x as one mul node, whose two equal adjoints sum to 2 * x * g."""
+    return T.mul(x, x)
+
+
 def test_softmax_symmetry():
     out = T.softmax(T.const([0.0, 0.0, 0.0]))
     np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3])
@@ -60,7 +65,7 @@ def test_backward_deterministic():
         tape = T.Tape()
         w = tape.var([0.3, -0.7, 1.1])
         m = tape.var(np.arange(9.0).reshape(3, 3) / 10)
-        loss = T.sumall(T.square(T.tanh(T.matvec(m, w))))
+        loss = T.sumall(square(T.tanh(T.matvec(m, w))))
         return T.gradients(tape, loss, {"w": w, "m": m})
 
     g1, g2 = run(), run()
@@ -156,34 +161,34 @@ def _gru_sequence_of(v, reverse, seq=T.gru_sequence, mask=None):
 # A case's test id ends in its list position: add new cases at the end, and
 # let a replacement take a deleted case's slot, so other ids do not shift.
 GRADCHECK_CASES = [
-    ("matvec", lambda v: T.sumall(T.square(T.matvec(v["a"], v["b"]))), {"a": (3, 4), "b": (4,)}),
-    ("vecmat", lambda v: T.sumall(T.square(T.vecmat(v["b"], v["c"]))), {"b": (3,), "c": (3, 2)}),
-    ("matmul", lambda v: T.sumall(T.square(T.matmul(v["a"], v["d"]))), {"a": (3, 4), "d": (4, 2)}),
+    ("matvec", lambda v: T.sumall(square(T.matvec(v["a"], v["b"]))), {"a": (3, 4), "b": (4,)}),
+    ("vecmat", lambda v: T.sumall(square(T.vecmat(v["b"], v["c"]))), {"b": (3,), "c": (3, 2)}),
+    ("matmul", lambda v: T.sumall(square(T.matmul(v["a"], v["d"]))), {"a": (3, 4), "d": (4, 2)}),
     ("softmax", lambda v: T.sumall(T.mul(T.softmax(v["b"]), T.const([1.0, 2.0, 3.0]))), {"b": (3,)}),
     ("log_softmax", lambda v: T.sumall(T.mul(T.log_softmax(v["b"]), T.const([0.5, -1.0, 2.0]))), {"b": (3,)}),
-    ("concat", lambda v: T.sumall(T.square(T.concat([v["b"], v["e"]]))), {"b": (3,), "e": (2,)}),
-    ("sub_float_left", lambda v: T.sumall(T.square(T.sub(1.0, v["b"]))), {"b": (3,)}),
-    ("stack", lambda v: T.sumall(T.square(stack([v["b"], v["g"]]))), {"b": (3,), "g": (3,)}),
+    ("concat", lambda v: T.sumall(square(T.concat([v["b"], v["e"]]))), {"b": (3,), "e": (2,)}),
+    ("sub_float_left", lambda v: T.sumall(square(T.sub(1.0, v["b"]))), {"b": (3,)}),
+    ("stack", lambda v: T.sumall(square(stack([v["b"], v["g"]]))), {"b": (3,), "g": (3,)}),
     ("sigmoid", lambda v: T.sumall(T.sigmoid(v["b"])), {"b": (3,)}),
-    ("sqrt_sum_square", lambda v: T.sqrt(T.sumall(T.square(v["b"]))), {"b": (3,)}),
-    ("embed", lambda v: T.sumall(T.mul(T.square(T.embed(v["c"], [2, 0, 2])), T.const(W32))), {"c": (3, 2)}),
-    ("add_rowvec", lambda v: T.sumall(T.square(T.add(v["c"], v["i"]))), {"c": (3, 2), "i": (2,)}),
-    ("row", lambda v: T.sumall(T.square(T.take(v["c"], 1))), {"c": (3, 2)}),
+    ("sqrt_sum_square", lambda v: T.sqrt(T.sumall(square(v["b"]))), {"b": (3,)}),
+    ("embed", lambda v: T.sumall(T.mul(square(T.embed(v["c"], [2, 0, 2])), T.const(W32))), {"c": (3, 2)}),
+    ("add_rowvec", lambda v: T.sumall(square(T.add(v["c"], v["i"]))), {"c": (3, 2), "i": (2,)}),
+    ("row", lambda v: T.sumall(square(T.take(v["c"], 1))), {"c": (3, 2)}),
     ("log_softmax_rows", lambda v: T.sumall(T.mul(T.log_softmax(v["c"]), T.const(W32))), {"c": (3, 2)}),
     ("pick_rows", lambda v: T.pick_nll(v["k"], v["l"], [[2, 0]], [2])[0], {"k": (1, 2, 2), "l": (3, 2)}),
     ("gru_sequence", lambda v: T.sumall(T.mul(_gru_sequence_of(v, reverse=True), T.const(W232))), SEQ_SHAPES),
     ("attention_decoder", lambda v: T.sumall(T.mul(_attention_decoder_of(v), T.const(W_DEC))), DEC_SHAPES),
-    ("pick_log_softmax_blocks", lambda v: T.scale(T.pick_nll(v["h"], v["l"], [[1, 1, 3], [0, 2, 0]], [3, 2])[0], 0.7), {"h": (2, 3, 2), "l": (4, 2)}),
+    ("pick_log_softmax_blocks", lambda v: T.mul(T.pick_nll(v["h"], v["l"], [[1, 1, 3], [0, 2, 0]], [3, 2])[0], 0.7), {"h": (2, 3, 2), "l": (4, 2)}),
     ("softmax_masked", lambda v: T.sumall(T.mul(T.softmax(v["p"], MASK23), T.const(W23))), {"p": (2, 3)}),
-    ("matvec_nd", lambda v: T.sumall(T.square(T.matvec(v["a"], v["h"]))), {"a": (3, 2), "h": (2, 3, 2)}),
+    ("matvec_nd", lambda v: T.sumall(square(T.matvec(v["a"], v["h"]))), {"a": (3, 2), "h": (2, 3, 2)}),
     ("embed_2d_ids", lambda v: T.sumall(T.mul(T.embed(v["c"], [[2, 0, 2], [1, 2, 0]]), T.const(W232))), {"c": (3, 2)}),
-    ("vecmat_batched", lambda v: T.sumall(T.square(T.vecmat(v["p"], v["h"]))), {"p": (2, 3), "h": (2, 3, 2)}),
-    ("matmul_nd", lambda v: T.sumall(T.square(T.matmul(v["h"], v["q"]))), {"h": (2, 3, 2), "q": (2, 4)}),
-    ("concat_axis1", lambda v: T.sumall(T.square(T.concat([v["h"], v["r"]], axis=1))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
+    ("vecmat_batched", lambda v: T.sumall(square(T.vecmat(v["p"], v["h"]))), {"p": (2, 3), "h": (2, 3, 2)}),
+    ("matmul_nd", lambda v: T.sumall(square(T.matmul(v["h"], v["q"]))), {"h": (2, 3, 2), "q": (2, 4)}),
+    ("concat_axis1", lambda v: T.sumall(square(T.concat([v["h"], v["r"]], axis=1))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
     ("stack_axis1", lambda v: T.sumall(T.mul(stack([v["p"], v["o"]], axis=1), T.const(np.transpose(W232, (0, 2, 1))))), {"p": (2, 3), "o": (2, 3)}),
-    ("take_step", lambda v: T.sumall(T.square(T.take(v["h"], np.s_[:, 1]))), {"h": (2, 3, 2)}),
-    ("sqrt_sum_axes", lambda v: T.sumall(T.sqrt(T.sumall(T.square(v["h"]), axis=(-2, -1)))), {"h": (2, 3, 2)}),
-    ("mul_broadcast", lambda v: T.sumall(T.square(T.mul(v["h"], v["r"]))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
+    ("take_step", lambda v: T.sumall(square(T.take(v["h"], np.s_[:, 1]))), {"h": (2, 3, 2)}),
+    ("sqrt_sum_axes", lambda v: T.sumall(T.sqrt(T.sumall(square(v["h"]), axis=(-2, -1)))), {"h": (2, 3, 2)}),
+    ("mul_broadcast", lambda v: T.sumall(square(T.mul(v["h"], v["r"]))), {"h": (2, 3, 2), "r": (2, 1, 2)}),
 ]
 
 
@@ -205,7 +210,7 @@ def test_shared_identity_adjoint_is_not_mutated():
         b = T.sigmoid(v["y"])
         early = T.add(T.mul(a, b), T.mul(b, b))
         shared = T.add(a, b)
-        return T.sumall(T.add(T.square(shared), early))
+        return T.sumall(T.add(square(shared), early))
 
     rng = np.random.default_rng(5)
     params = {"x": rng.normal(size=4), "y": rng.normal(size=4)}
@@ -316,14 +321,14 @@ def per_block_pick_log_softmax(hd, wd, ids, lengths, g):
 def nll_and_gradients(layer, hd, wd, ids, lengths, adjoint):
     """(nll, log-probs, h gradient, w gradient) of ``adjoint`` times the
     summed NLL, from ``T.pick_nll`` or from the ``pick_log_softmax`` oracle."""
-    tape = T.Tape(hd.dtype)
+    tape = T.Tape()
     h, w = tape.var(hd), tape.var(wd)
     if layer is T.pick_nll:
         nll, log_probs = T.pick_nll(h, w, ids, lengths)
     else:
         out = layer(h, w, ids, lengths)
         nll, log_probs = neg(T.sumall(out)), out.data
-    loss = nll if adjoint == 1.0 else T.scale(nll, adjoint)
+    loss = nll if adjoint == 1.0 else T.mul(nll, adjoint)
     grads = T.gradients(tape, loss, {"h": h, "w": w})
     return nll.data, log_probs, grads["h"], grads["w"]
 
@@ -372,7 +377,7 @@ def test_softmax_is_a_distribution(xs):
 
 def test_finite_diff_simple_quadratic():
     report = finite_diff_check(
-        lambda v: T.sumall(T.square(v["w"])), {"w": np.array([1.0])}, step=1e-5, tolerance=1e-8
+        lambda v: T.sumall(square(v["w"])), {"w": np.array([1.0])}, step=1e-5, tolerance=1e-8
     )
     assert report.passed
 
@@ -394,9 +399,25 @@ def test_untracked_inputs_record_nothing():
 
 
 def test_tape_dtype_float32():
-    tape = T.Tape(np.float32)
-    w = tape.var([1.0, 2.0])
+    tape = T.Tape()
+    w = tape.var(np.array([1.0, 2.0], dtype=np.float32))
     assert w.data.dtype == np.float32
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_mul_squares_and_scales_by_a_float_bit_for_bit(dtype):
+    # mul(x, x) gives x its two adjoints g * x, summed to 2 * x * g exactly,
+    # and mul(x, c) with a python float c rounds c to x's dtype, as x * c does
+    rng = np.random.default_rng(11)
+    x, g = (rng.normal(size=(3, 4)).astype(dtype) for _ in range(2))
+    c = 0.7
+    for f, want, want_grad in [(square, x * x, 2.0 * x * g), (lambda w: T.mul(w, c), x * c, g * c)]:
+        tape = T.Tape()
+        w = tape.var(x)
+        out = f(w)
+        grad = T.gradients(tape, T.sumall(T.mul(out, T.const(g, dtype))), {"w": w})["w"]
+        assert out.data.dtype == grad.dtype == dtype
+        assert np.array_equal(out.data, want) and np.array_equal(grad, want_grad)
 
 
 # float32 runs both sides in single precision, summed in different orders;
@@ -420,8 +441,8 @@ def test_gru_sequence_equals_per_step_oracle(reverse, step, dtype, rel):
 
     results = []
     for seq in (T.gru_sequence, oracle):
-        tape = T.Tape(dtype)
-        leaves = {k: tape.var(v) for k, v in values.items()}
+        tape = T.Tape()
+        leaves = {k: tape.var(v.astype(dtype)) for k, v in values.items()}
         out = _gru_sequence_of(leaves, reverse, seq, mask)
         loss = T.sumall(T.mul(out, T.const(g, dtype)))
         results.append((out.data, T.gradients(tape, loss, leaves)))
@@ -472,8 +493,8 @@ def test_attention_decoder_equals_per_step_oracle(src_lens, tgt_lens, dtype, rel
     g[np.arange(steps) >= np.array(tgt_lens)[:, None]] = 0.0
     results = []
     for decoder in (T.attention_decoder, per_step_attention_decoder):
-        tape = T.Tape(dtype)
-        leaves = {k: tape.var(v) for k, v in values.items()}
+        tape = T.Tape()
+        leaves = {k: tape.var(v.astype(dtype)) for k, v in values.items()}
         out = _attention_decoder_of(leaves, decoder, mask)
         loss = T.sumall(T.mul(out, T.const(g, dtype)))
         results.append((out.data, T.gradients(tape, loss, leaves)))
