@@ -127,9 +127,11 @@ def train_settings(path, cfg):
 
 
 def _check_out_dir(path):
-    """Raise the error that opening ``path`` for writing would raise for a
-    missing directory or for a directory at ``path``, such as ``PATH: No
-    such file or directory``, before a command reads its input."""
+    """Raise the error that opening ``path`` for writing would raise for an
+    empty path, a missing directory or a directory at ``path``, such as
+    ``PATH: No such file or directory``, before a command reads its input."""
+    if not path:
+        raise ValueError("output path is empty")
     try:
         os.stat(os.path.dirname(path) or ".")
     except OSError as exc:
@@ -187,6 +189,17 @@ def cmd_transform_align(args):
 def cmd_train(args):
     cfg = parse_config_file(args.config)
     c = train_settings(args.config, cfg)
+    for key in ("checkpoint", "log"):
+        path = c[key]
+        if path is None:
+            continue
+        where, folder = f"{args.config}:{cfg.lines[key]}", os.path.dirname(path)
+        if not os.path.basename(path):
+            raise ValueError(f"{where}: {key} {path!r} names no file")
+        if folder and not os.path.isdir(folder):
+            raise ValueError(f"{where}: {key} directory {folder!r} does not exist")
+        if key == "log" and os.path.isdir(path):
+            raise ValueError(f"{where}: log {path!r} is a directory")
     train_cfg = training.TrainConfig(
         schedule=c["schedule"],
         batch_size=c["batch_size"],
@@ -223,10 +236,6 @@ def cmd_train(args):
         sup = [supervision.supervision_matrix(a, smooth) for a in alignments]
     elif any(training.needs_supervision(p.objective, c["lambda"]) for p in c["schedule"]):
         raise ValueError(f"{args.config}: schedule needs alignment supervision but train_align is not set")
-    ckpt_dir = os.path.dirname(c["checkpoint"] or "")
-    if ckpt_dir and not os.path.isdir(ckpt_dir):
-        raise ValueError(f"{args.config}:{cfg.lines['checkpoint']}: "
-                         f"checkpoint directory {ckpt_dir!r} does not exist")
 
     dims = ModelDims(
         src_vocab=len(src_vocab),
@@ -291,9 +300,9 @@ def cmd_translate(args):
 def cmd_dump_attn(args):
     if not np.isfinite(args.threshold):
         raise ValueError(f"threshold must be finite, got {args.threshold}")
-    for path in (args.out, args.align_out):
-        if path:
-            _check_out_dir(path)
+    _check_out_dir(args.out)
+    if args.align_out:
+        _check_out_dir(args.align_out)
     params, src_vocab, tgt_vocab = _load_model_and_vocabs(args)
     pairs, n_lines, _ = corpus.load_parallel(args.src, args.tgt, src_vocab, tgt_vocab, max_len=None)
     matrices = evaluation.dump_attention_all(params, pairs)

@@ -77,14 +77,9 @@ def complete_alignment(raw):
 
 
 def simple_transform(aligned):
-    """Row-normalize a completed hard alignment into a supervision matrix."""
-    out = np.zeros((aligned.m, aligned.l), dtype=np.float64)
-    for t, i in aligned.links:
-        out[t - 1, i - 1] = 1.0
-    sums = out.sum(axis=1, keepdims=True)
-    if not np.all(sums > 0):
-        raise ValueError("alignment has an empty target row; run complete_alignment first")
-    return out / sums
+    """Row-normalize a completed hard alignment into a supervision matrix:
+    the smoothed transform with window 0."""
+    return smoothed_transform(aligned, SmoothingConfig(window=0))
 
 
 def smoothed_transform(aligned, cfg=None, normalize=True):
@@ -92,9 +87,9 @@ def smoothed_transform(aligned, cfg=None, normalize=True):
 
     Each non-eos link (t, i) adds the Gaussian kernel at offsets -w..w,
     truncated at the sentence boundary and kept off the eos column. Links
-    into the eos column stay a point mass. With window 0 this reduces
-    exactly to simple_transform. ``normalize=False`` returns the raw kernel
-    accumulations.
+    into the eos column stay a point mass. With window 0 each link is a
+    point mass, which is simple_transform. ``normalize=False`` returns the
+    raw kernel accumulations.
     """
     if cfg is None:
         cfg = SmoothingConfig()

@@ -1,8 +1,10 @@
 """Minimal dense-tensor library with reverse-mode automatic differentiation.
 
 Values are numpy arrays. A Tape records primitive operations in execution
-order (define-by-run, rebuilt per forward pass); ``backward`` walks the tape
-in reverse and accumulates adjoints. Primitives act on whole batches: binary
+order (define-by-run, rebuilt per forward pass), each as one node: its
+input node ids and one VJP that returns an adjoint per input. ``backward``
+walks the tape in reverse, calls each node's VJP once and accumulates the
+adjoints of its tracked inputs. Primitives act on whole batches: binary
 elementwise ones broadcast like numpy (their VJPs sum each adjoint back to
 its operand's shape), and products and reductions act on the last axes, so
 one node serves every sentence of a batch. Only the primitives needed by the
@@ -100,43 +102,25 @@ def _as_tensor(x, like):
     return Tensor(np.asarray(x, dtype=like.data.dtype))
 
 
-def _record(data, parents):
-    """parents: sequence of (tensor, vjp); untracked inputs are skipped."""
+def _record(data, inputs, vjp):
+    """The output of one node: ``inputs`` is the sequence of its operand
+    tensors and ``vjp(g)`` returns one adjoint per input, in that order.
+    The tape keeps the inputs' node ids, -1 for an untracked one, whose
+    adjoint backward drops. A node with no tracked input is not recorded."""
     tape = None
-    for t, _ in parents:
+    for t in inputs:
         if t.tape is not None:
             tape = t.tape
             break
     if tape is None:
         return Tensor(data)
-    node = tuple((t.node, vjp) for t, vjp in parents if t.tape is not None)
     nid = len(tape._nodes)
-    tape._nodes.append(node)
+    tape._nodes.append((tuple(t.node for t in inputs), vjp))
     return Tensor(data, tape, nid)
 
 
 # ---------------------------------------------------------------------------
 # primitives
-
-
-def _shared_vjps(compute, *parents):
-    """(parent, vjp) pairs for a primitive whose adjoints come from one
-    computation: ``compute(g)`` returns every parent's adjoint. The first
-    VJP that runs computes them all and each hands out its own, so the work
-    runs once per backward pass and nothing stays cached after it."""
-    tracked = [k for k, p in enumerate(parents) if p.tape is not None]
-    pending = {}
-
-    def vjp_of(k):
-        def vjp(g):
-            if not pending:
-                grads = compute(g)
-                pending.update((j, grads[j]) for j in tracked)
-            return pending.pop(k)
-
-        return vjp
-
-    return [(p, vjp_of(k)) for k, p in enumerate(parents)]
 
 
 def _unbroadcast(g, shape):
@@ -162,7 +146,7 @@ def add(a, b):
     b = _as_tensor(b, a)
     out = _broadcast("add", np.add, a, b)
     sa, sb = a.data.shape, b.data.shape
-    return _record(out, [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb))])
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a, b):
@@ -171,7 +155,7 @@ def sub(a, b):
     b = _as_tensor(b, a)
     out = _broadcast("sub", np.subtract, a, b)
     sa, sb = a.data.shape, b.data.shape
-    return _record(out, [(a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(-g, sb))])
+    return _record(out, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a, b):
@@ -179,8 +163,8 @@ def mul(a, b):
     b = _as_tensor(b, a)
     out = _broadcast("mul", np.multiply, a, b)
     ad, bd = a.data, b.data
-    return _record(out, [(a, lambda g: _unbroadcast(g * bd, ad.shape)),
-                         (b, lambda g: _unbroadcast(g * ad, bd.shape))])
+    return _record(out, (a, b), lambda g: (_unbroadcast(g * bd, ad.shape),
+                                           _unbroadcast(g * ad, bd.shape)))
 
 
 def matvec(w, x):
@@ -190,7 +174,7 @@ def matvec(w, x):
         _check_shapes("matvec", w.data.shape, x.data.shape)
     wd, xd = w.data, x.data
     out = xd @ wd.T
-    return _record(out, [(w, lambda g: _outer(g, xd)), (x, lambda g: g @ wd)])
+    return _record(out, (w, x), lambda g: (_outer(g, xd), g @ wd))
 
 
 def vecmat(v, m):
@@ -200,8 +184,8 @@ def vecmat(v, m):
         _check_shapes("vecmat", v.data.shape, m.data.shape)
     vd, md = v.data, m.data
     out = (vd[..., None, :] @ md)[..., 0, :]
-    return _record(out, [(v, lambda g: (md @ g[..., :, None])[..., 0]),
-                         (m, lambda g: vd[..., :, None] * g[..., None, :])])
+    return _record(out, (v, m), lambda g: ((md @ g[..., :, None])[..., 0],
+                                           vd[..., :, None] * g[..., None, :]))
 
 
 def matmul(a, b):
@@ -210,25 +194,16 @@ def matmul(a, b):
         _check_shapes("matmul", a.data.shape, b.data.shape)
     ad, bd = a.data, b.data
     out = ad @ bd
-    return _record(out, [(a, lambda g: g @ bd.T), (b, lambda g: _outer(ad, g))])
-
-
-def _along(axis, ndim, start, stop):
-    return (slice(None),) * (axis % ndim) + (slice(start, stop),)
+    return _record(out, (a, b), lambda g: (g @ bd.T, _outer(ad, g)))
 
 
 def concat(parts, axis=-1):
-    """Concatenate tensors along an axis."""
+    """Concatenate tensors along an axis; the VJP splits the adjoint back
+    into one view per part."""
     parts = list(parts)
     out = np.concatenate([p.data for p in parts], axis=axis)
-    parents = []
-    off = 0
-    for p in parts:
-        n = p.data.shape[axis]
-        idx = _along(axis, out.ndim, off, off + n)
-        parents.append((p, lambda g, idx=idx: g[idx]))
-        off += n
-    return _record(out, parents)
+    sizes = [p.data.shape[axis] for p in parts]
+    return _record(out, parts, lambda g: np.split(g, np.cumsum(sizes[:-1]), axis=axis))
 
 
 def take(x, key):
@@ -240,9 +215,9 @@ def take(x, key):
     def vjp(g):
         full = np.zeros(shp, dtype=g.dtype)
         full[key] = g
-        return full
+        return (full,)
 
-    return _record(out, [(x, vjp)])
+    return _record(out, (x,), vjp)
 
 
 def embed(table, ids):
@@ -260,9 +235,9 @@ def embed(table, ids):
     def vjp(g):
         full = np.zeros(shp, dtype=g.dtype)
         np.add.at(full, ids.reshape(-1)[::-1], g.reshape(-1, shp[1])[::-1])
-        return full
+        return (full,)
 
-    return _record(out, [(table, vjp)])
+    return _record(out, (table,), vjp)
 
 
 def _gru_gates(x, h, u, zr, rh, c, ctx=None, w_ctx=None):
@@ -355,23 +330,23 @@ def gru_sequence(x_parts, u, mask, reverse=False):
         return grads + [_outer(d[0], h_prev), _outer(d[1], h_prev), _outer(d[2], rh)]
 
     out = states.transpose(1, 0, 2)
-    return _record(out, _shared_vjps(compute, *x_parts, *u))
+    return _record(out, (*x_parts, *u), compute)
 
 
 def tanh(x):
     out = np.tanh(x.data)
-    return _record(out, [(x, lambda g: g * (1.0 - out * out))])
+    return _record(out, (x,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(x):
     out = 1.0 / (1.0 + np.exp(-x.data))
-    return _record(out, [(x, lambda g: g * out * (1.0 - out))])
+    return _record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
 def sqrt(x):
     out = np.sqrt(x.data)
     xd = x.data
-    return _record(out, [(x, lambda g: g * 0.5 / np.sqrt(xd + SQRT_BACKWARD_EPS))])
+    return _record(out, (x,), lambda g: (g * 0.5 / np.sqrt(xd + SQRT_BACKWARD_EPS),))
 
 
 def sumall(x, axis=None):
@@ -382,9 +357,9 @@ def sumall(x, axis=None):
     def vjp(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, shp).copy() if shp else g
+        return (np.broadcast_to(g, shp).copy() if shp else g,)
 
-    return _record(out, [(x, vjp)])
+    return _record(out, (x,), vjp)
 
 
 def softmax(x, mask=None):
@@ -395,9 +370,9 @@ def softmax(x, mask=None):
     out = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        return out * (g - (g * out).sum(axis=-1, keepdims=True))
+        return (out * (g - (g * out).sum(axis=-1, keepdims=True)),)
 
-    return _record(out, [(x, vjp)])
+    return _record(out, (x,), vjp)
 
 
 def log_softmax(x):
@@ -406,9 +381,9 @@ def log_softmax(x):
     out = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
 
     def vjp(g):
-        return g - np.exp(out) * g.sum(axis=-1, keepdims=True)
+        return (g - np.exp(out) * g.sum(axis=-1, keepdims=True),)
 
-    return _record(out, [(x, vjp)])
+    return _record(out, (x,), vjp)
 
 
 def attention_step(s, y, h_proj, ctx_mat, pad, ws, v, u, w_ctx, out):
@@ -503,7 +478,7 @@ def attention_decoder(s0, y_parts, h_proj, ctx_mat, mask, ws, v, u, w_ctx):
         return [a, *y_grads, d_th * vd, d_mat, _outer(d_base, prev), d_v, d_u[:hid], d_u[hid:],
                 _outer(d[..., 2 * hid :], rh), *np.split(d_wc, 3)]
 
-    return _record(out, _shared_vjps(compute, s0, *y_parts, h_proj, ctx_mat, ws, v, *u, *w_ctx))
+    return _record(out, (s0, *y_parts, h_proj, ctx_mat, ws, v, *u, *w_ctx), compute)
 
 
 def pick_nll(h, w, ids, lengths):
@@ -571,14 +546,14 @@ def pick_nll(h, w, ids, lengths):
     out = np.zeros(ids.shape, dtype=hd.dtype)
     out[real] = picked - lse
 
-    def compute(g):  # _shared_vjps reads only the tracked operands' adjoints
+    def compute(g):  # backward reads only the tracked operands' adjoints
         gh = None
         if track_h:
             gh = np.zeros_like(hd)
             gh[real] = gh_rows * g
         return gh, np.multiply(gw, g, out=gw) if track_w else None
 
-    return _record(np.asarray(-out.sum()), _shared_vjps(compute, h, w)), out
+    return _record(np.asarray(-out.sum()), (h, w), compute), out
 
 
 # ---------------------------------------------------------------------------
@@ -591,14 +566,15 @@ def backward(tape, loss):
     Returns a list indexed by node id: each leaf (``Tape.var``) the loss
     depends on holds its adjoint, every other entry is None. The tape holds
     only what a leaf reaches, since a node whose inputs are all untracked is
-    never recorded, so every VJP that runs leads to a leaf. An interior
-    node's adjoint is released as soon as its VJPs have run, and so are the
-    VJPs themselves with the activations they hold, so memory holds only
-    what is still needed and a tape supports one backward pass.
+    never recorded. Each node's VJP runs once, on the node's adjoint, and
+    its adjoints go to the node's inputs in order, skipping the untracked
+    ones. An interior node's adjoint is released as soon as its VJP has
+    run, and so is the VJP itself with the activations it holds, so memory
+    holds only what is still needed and a tape supports one backward pass.
 
     Repeated contributions are summed out of place, ``acc + g``: an array
-    a VJP returned may be shared (the VJPs of ``add`` hand the same array
-    to both parents) and is never written to. Identical tapes give
+    a VJP returned may be shared (the VJP of ``add`` hands the same array
+    to both inputs) and is never written to. Identical tapes give
     bit-identical gradients.
     """
     if not isinstance(loss, Tensor) or loss.tape is not tape:
@@ -612,16 +588,17 @@ def backward(tape, loss):
     adjoints[loss.node] = np.asarray(1.0, dtype=loss.data.dtype)
     for nid in range(loss.node, -1, -1):
         a = adjoints[nid]
-        parents = nodes[nid]
-        if parents:
+        node = nodes[nid]
+        if node:
             nodes[nid] = None
-        if a is None or not parents:
+        if a is None or not node:
             continue
         adjoints[nid] = None
-        for pid, vjp in parents:
-            g = vjp(a)
-            acc = adjoints[pid]
-            adjoints[pid] = g if acc is None else acc + g
+        inputs, vjp = node
+        for pid, g in zip(inputs, vjp(a)):
+            if pid >= 0:
+                acc = adjoints[pid]
+                adjoints[pid] = g if acc is None else acc + g
     return adjoints
 
 

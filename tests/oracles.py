@@ -12,7 +12,7 @@ from attnalign.model import decode_step, greedy_step_inputs, output_states, targ
 
 
 def neg(a):
-    return T._record(-a.data, [(a, lambda g: -g)])
+    return T._record(-a.data, (a,), lambda g: (-g,))
 
 
 def stack(parts, axis=0):
@@ -20,7 +20,7 @@ def stack(parts, axis=0):
     parts = list(parts)
     out = np.stack([p.data for p in parts], axis=axis)
     lead = (slice(None),) * (axis % out.ndim)
-    return T._record(out, [(p, lambda g, k=k: g[lead + (k,)]) for k, p in enumerate(parts)])
+    return T._record(out, parts, lambda g: [g[lead + (k,)] for k in range(len(parts))])
 
 
 def output_log_probs(o, tv):

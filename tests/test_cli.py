@@ -257,6 +257,30 @@ class TestTrain:
         assert not any(r.getMessage().startswith("epoch ") for r in caplog.records)
         assert not (tmp_path / "train.log").exists()
 
+    @pytest.mark.parametrize("key, case", [("log", "missing-directory"), ("log", "is-a-directory"),
+                                           ("log", "empty"), ("checkpoint", "empty"),
+                                           ("checkpoint", "directory-prefix")])
+    def test_unusable_output_path_is_refused_before_any_input_is_read(
+        self, copy_corpus, tmp_path, caplog, key, case
+    ):
+        path, want = {
+            "missing-directory": (tmp_path / "nodir" / "x", f"directory '{tmp_path / 'nodir'}' does not exist"),
+            "is-a-directory": (tmp_path, f"'{tmp_path}' is a directory"),
+            "empty": ("", "'' names no file"),
+            "directory-prefix": (f"{tmp_path}/", f"'{tmp_path}/' names no file"),
+        }[case]
+        cfg = tmp_path / "train.cfg"
+        write_train_config(cfg, copy_corpus, tmp_path / "m")
+        # the corpus is missing too: the output-path error must come first
+        lines = [ln.replace(f"{copy_corpus}.src", f"{tmp_path}/none.src")
+                 for ln in cfg.read_text().splitlines() if not ln.startswith(f"{key}=")]
+        cfg.write_text("".join(ln + "\n" for ln in [*lines, f"{key}={path}"]))
+        caplog.clear()
+        assert run("train", "--config", str(cfg)) == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+        assert errors == [f"{cfg}:{len(lines) + 1}: {key} {want}"]
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_missing_config_file_fails(self, tmp_path):
         assert run("train", "--config", str(tmp_path / "nope.cfg")) == 2
 
@@ -954,6 +978,24 @@ def test_output_that_is_a_directory_fails_before_the_work(
     assert run(command, *argv) == 2
     errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
     assert errors == [f"{prefix}{first}: Is a directory"]
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["dump-attn", "transform-align"])
+def test_empty_output_path_fails_before_any_input_is_read(
+    copy_corpus, tmp_path, caplog, monkeypatch, command
+):
+    def reached(path):
+        raise AssertionError(f"{path} read")
+
+    monkeypatch.setattr("attnalign.cli.load_checkpoint", reached)
+    monkeypatch.setattr("attnalign.corpus.read_lines", reached)
+    argv = out_path_argv(copy_corpus, tmp_path, command, "--out", "")
+    before = sorted(tmp_path.rglob("*"))
+    caplog.clear()
+    assert run(command, *argv) == 2
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["output path is empty"]
     assert sorted(tmp_path.rglob("*")) == before
 
 

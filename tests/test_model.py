@@ -89,9 +89,12 @@ def reference_backward(tape, loss):
         a = adjoints[nid]
         if a is None:
             continue
-        for pid, vjp in tape._nodes[nid]:
-            g = vjp(a)
-            adjoints[pid] = g if adjoints[pid] is None else adjoints[pid] + g
+        if not tape._nodes[nid]:
+            continue
+        inputs, vjp = tape._nodes[nid]
+        for pid, g in zip(inputs, vjp(a)):
+            if pid >= 0:
+                adjoints[pid] = g if adjoints[pid] is None else adjoints[pid] + g
     return adjoints
 
 

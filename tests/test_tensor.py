@@ -202,7 +202,7 @@ def test_primitive_gradients_match_finite_differences(name, f, shapes):
 
 def test_shared_identity_adjoint_is_not_mutated():
     # add() is the last consumer of a and b, so backward reaches it first
-    # and its VJPs hand one array to both as their first adjoint. Both are
+    # and its VJP hands one array to both as their first adjoint. Both are
     # then summed into again by their earlier consumers; an in-place add
     # into the shared array would leak b's gradient into a's.
     def f(v):
@@ -297,7 +297,7 @@ def pick_log_softmax(h, w, ids, lengths):
         gh[real] = gh_rows
         return gh, gw
 
-    return T._record(out, T._shared_vjps(compute, h, w))
+    return T._record(out, (h, w), compute)
 
 
 def per_block_pick_log_softmax(hd, wd, ids, lengths, g):

@@ -475,3 +475,33 @@ def test_pad_rows_get_exactly_zero_gradient():
     assert np.all(grads["src_emb"][0] == 0.0)
     assert np.all(grads["tgt_emb"][0] == 0.0)
     assert np.any(grads["src_emb"][3] != 0.0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_every_joint_node_returns_one_adjoint_per_input(monkeypatch, dtype):
+    # each recorded node's VJP, called once on ones of its output's shape,
+    # gives one adjoint per input, and a tracked input's in its shape and dtype
+    from attnalign.corpus import make_batch
+
+    nodes = []
+    record = T._record
+
+    def recording(data, inputs, vjp):
+        out = record(data, inputs, vjp)
+        if out.tape is not None:
+            nodes.append((out.data, inputs, vjp))
+        return out
+
+    monkeypatch.setattr(T, "_record", recording)
+    pairs = uneven_batch().pairs[:2]
+    batch = make_batch(pairs, [np.full((p.tgt_len, p.src_len), 1.0 / p.src_len) for p in pairs])
+    assert not batch.src_mask.all() and not batch.tgt_mask.all()
+    trace = forward_teacher_forced(init_params(DIMS, seed=8, dtype=dtype, init_scale=0.5), batch)
+    sentence_loss(trace, batch.supervision, training.JOINT, 0.7)
+    assert nodes
+    for data, inputs, vjp in nodes:
+        grads = vjp(np.ones_like(data))
+        assert len(grads) == len(inputs)
+        for t, g in zip(inputs, grads):
+            if t.tape is not None:
+                assert (g.shape, g.dtype) == (t.data.shape, t.data.dtype)
